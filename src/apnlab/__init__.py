@@ -54,6 +54,7 @@ from .search import (
     CosetConstantReport,
     SearchReport,
     SplitMix64,
+    VerificationError,
     enumerate_subspaces,
     linear_map_from_index,
     search_coset_constants,
@@ -77,7 +78,7 @@ __all__ = [
     "th31_criterion",
     "DistinguishResult", "InvariantBundle", "classical_spectrum",
     "distinguish", "gamma_rank", "invariant_bundle", "is_classical",
-    "CosetConstantReport", "SearchReport", "SplitMix64",
+    "CosetConstantReport", "SearchReport", "SplitMix64", "VerificationError",
     "enumerate_subspaces", "linear_map_from_index", "search_coset_constants",
     "search_tr_l",
 ]

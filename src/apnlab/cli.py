@@ -37,7 +37,7 @@ from .invariants import (
     invariant_bundle,
 )
 from .io import FormatError, read_lin1, read_vbf1, write_vbf1
-from .search import exp_sum_crosscheck, search_tr_l
+from .search import VerificationError, exp_sum_crosscheck, search_tr_l
 from .vbf import VBF, from_univariate, power_function
 
 EXIT_OK = 0
@@ -113,7 +113,8 @@ def cmd_analyze(args, out=None) -> int:
     hist = ", ".join(f"{v}:{c}" for v, c in ws.values)
     print(f"walsh histogram: {hist}", file=out)
     if F.n == F.m and F.n % 2 == 0 and F.is_apn():
-        verdict = "classical" if ws == classical_spectrum(F.n) else "non-classical"
+        classical = ws.magnitudes() == classical_spectrum(F.n).magnitudes()
+        verdict = "classical" if classical else "non-classical"
         print(f"spectrum: {verdict}", file=out)
     return EXIT_OK
 
@@ -124,7 +125,7 @@ def _verify_table1(args, out) -> int:
     ck = _Checks(out)
     spec = field_for(6)
     funcs = table1_functions(spec)
-    classical = classical_spectrum(6)
+    classical = classical_spectrum(6).magnitudes()
     for i, G in enumerate(funcs, start=1):
         ck.check(f"G_{i} APN and quadratic", G.is_apn() and G.is_quadratic())
     for i, G in enumerate(funcs, start=1):
@@ -132,10 +133,11 @@ def _verify_table1(args, out) -> int:
         if i == 7:
             ck.check(
                 "G_7 non-classical with value set {0, +/-8, +/-16, +/-32}",
-                ws != classical and ws.value_set() == {0, 8, -8, 16, -16, 32, -32},
+                ws.magnitudes() != classical
+                and ws.value_set() == {0, 8, -8, 16, -16, 32, -32},
             )
         else:
-            ck.check(f"G_{i} spectrum classical", ws == classical)
+            ck.check(f"G_{i} spectrum classical", ws.magnitudes() == classical)
     return ck.exit_code()
 
 
@@ -310,7 +312,10 @@ def _construct_dispatch(args, out) -> int:
                 "holds": holds, "witness": witness}
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown construction {args.kind!r}")
-    assert holds == G.is_apn(), "certificate disagrees with the direct test"
+    if holds != G.is_apn():
+        print(f"error: the {args.kind} certificate (holds={str(holds).lower()}) "
+              "disagrees with the direct APN test", file=sys.stderr)
+        return EXIT_FAIL
     _emit(args, G, cert, out)
     return EXIT_OK
 
@@ -333,6 +338,9 @@ def cmd_search(args, out=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
     d = rep.to_dict()
     if args.out_format == "json":
         print(json.dumps(d, indent=2), file=out)

@@ -242,15 +242,25 @@ def hyperplane_modify(F: VBF, L: LinearMap) -> VBF:
     return VBF(F.n, F.m, table, spec=spec)
 
 
-def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None) -> bool:
-    """F + Tr*L is APN iff x -> L(x) + B_F(x, a + e_0) has trivial kernel
-    on the trace-zero hyperplane for every trace-zero a; F quadratic APN."""
+def check_quadratic_apn(F: VBF) -> None:
+    """Raise ValueError unless F is a quadratic APN function on a field."""
     if F.spec is None:
         raise ValueError("F must carry a field for the trace")
     if not F.is_quadratic():
         raise ValueError("F must be quadratic")
     if not F.is_apn():
         raise ValueError("F must be APN")
+
+
+def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
+                   checked: bool = False) -> bool:
+    """F + Tr*L is APN iff x -> L(x) + B_F(x, a + e_0) has trivial kernel
+    on the trace-zero hyperplane for every trace-zero a; F quadratic APN.
+
+    `checked=True` skips `check_quadratic_apn(F)`, for callers that ran it
+    once for many maps L."""
+    if not checked:
+        check_quadratic_apn(F)
     spec = F.spec
     if e0 is None:
         e0 = spec.trace_one_element()

@@ -77,7 +77,7 @@ def classical_spectrum(n: int) -> WalshSpectrum:
 def is_classical(F: VBF) -> bool:
     if F.n != F.m or F.n % 2 != 0:
         raise ValueError("classical spectra are defined for (n, n), even n")
-    return F.walsh_spectrum() == classical_spectrum(F.n)
+    return F.walsh_spectrum().magnitudes() == classical_spectrum(F.n).magnitudes()
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,13 @@ class DistinguishResult:
 def distinguish(F: VBF, G: VBF,
                 bf: Optional[InvariantBundle] = None,
                 bg: Optional[InvariantBundle] = None) -> DistinguishResult:
-    """Compare CCZ invariants (Gamma-rank, Walsh multiset) and, for
-    degrees >= 2, the EA-invariant algebraic degree."""
+    """Compare CCZ invariants (Gamma-rank, multiset of absolute Walsh
+    values) and, for degrees >= 2, the EA-invariant algebraic degree."""
     bf = bf or invariant_bundle(F)
     bg = bg or invariant_bundle(G)
     if bf.gamma_rank != bg.gamma_rank:
         return DistinguishResult("gamma_rank")
-    if bf.walsh != bg.walsh:
+    if bf.walsh.magnitudes() != bg.walsh.magnitudes():
         return DistinguishResult("walsh_spectrum")
     if bf.degree >= 2 and bg.degree >= 2 and bf.degree != bg.degree:
         return DistinguishResult("algebraic_degree")

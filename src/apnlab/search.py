@@ -4,15 +4,29 @@ modification of x^3, coset-constant searches, and deterministic random
 subspace samplers.
 
 Candidate maps are encoded as one integer: the n-1 images of a fixed
-basis of the trace-zero hyperplane, packed in n-bit digits.  Random mode
-draws indices with a splitmix64 generator reduced modulo the space size,
-so hit lists are reproducible from the seed alone.
+basis of the trace-zero hyperplane, packed in n-bit digits, so an index
+needs n(n-1) <= 63 bits (n <= 8).  Random mode draws indices with a
+splitmix64 generator reduced modulo the space size, so hit lists are
+reproducible from the seed alone.
+
+Both modes test one kernel.  For F = x^3 the kernel criterion fails iff
+some nonzero trace-zero x has L(x) in S_x = {B(x, a + e_0) : Tr(a) = 0},
+so a boolean table forb[x, v] = (v in S_x) is built once per field.
+Random mode gathers forb[x, L(x)] for every x of every candidate.
+Exhaustive mode fixes the digits from the top down: a nonzero
+trace-zero x is decided by the digit of its lowest basis coordinate d,
+where L(x) = P(x) + d and P(x) comes from the higher digits already
+fixed.  Each step ORs the bitmasks of the sets S_x + P(x) into the
+values d may not take, so every surviving prefix yields its allowed
+next digits at once, dead prefixes are never extended, and the lowest
+digit's allowed values are the hits, in index order.
 """
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,6 +35,7 @@ from .constructions import (
     CosetDecomposition,
     HyperplaneSpec,
     admissible_sums,
+    check_quadratic_apn,
     coset_modify,
     hyperplane_modify,
     th31_criterion,
@@ -29,6 +44,9 @@ from .field import FieldSpec
 from .vbf import VBF, LinearMap, power_function
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -38,14 +56,29 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
+
+    def below_many(self, bound: int, count: int) -> np.ndarray:
+        """The next `count` values of `below(bound)` as one uint64 array;
+        numpy's uint64 arithmetic wraps mod 2^64 like the scalar stream."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z %= np.uint64(bound)
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        return z
 
 
 @dataclass(frozen=True)
@@ -99,6 +132,16 @@ def map_space_size(spec: FieldSpec) -> int:
     return 1 << (spec.n * (spec.n - 1))
 
 
+def _xor_span(gens, lead: tuple = (), dtype=np.int64) -> np.ndarray:
+    """out[..., c] = XOR of gens[i] over the set bits i of c, built by
+    doubling; each generator may carry leading batch axes `lead`."""
+    out = np.zeros(lead + (1 << len(gens),), dtype=dtype)
+    for i, g in enumerate(gens):
+        g = np.asarray(g, dtype=dtype)[..., None]
+        out[..., 1 << i:2 << i] = out[..., :1 << i] ^ g
+    return out
+
+
 def linear_map_from_index(spec: FieldSpec, index: int,
                           e0: Optional[int] = None) -> LinearMap:
     """Decode a candidate index into the linear map on F_{2^n} sending the
@@ -107,118 +150,120 @@ def linear_map_from_index(spec: FieldSpec, index: int,
     if e0 is None:
         e0 = spec.trace_one_element()
     digits = [(index >> (n * i)) & (spec.size - 1) for i in range(n - 1)]
-    rows: dict[int, tuple[int, int]] = {}
-
-    def _insert(vec: int, val: int) -> None:
-        while vec:
-            b = vec.bit_length() - 1
-            if b in rows:
-                v2, w2 = rows[b]
-                vec ^= v2
-                val ^= w2
-            else:
-                rows[b] = (vec, val)
-                return
-
-    for v, img in zip(t0_basis(spec), digits):
-        _insert(v, img)
-    _insert(e0, 0)
-
-    def _eval(x: int) -> int:
-        val = 0
-        while x:
-            b = x.bit_length() - 1
-            v2, w2 = rows[b]
-            x ^= v2
-            val ^= w2
-        return val
-
-    return LinearMap(n, n, tuple(_eval(1 << i) for i in range(n)), spec=spec)
+    table = np.empty(spec.size, dtype=np.int64)
+    table[_xor_span(t0_basis(spec) + [e0])] = _xor_span(digits + [0])
+    return LinearMap(n, n, tuple(int(table[1 << i]) for i in range(n)), spec=spec)
 
 
-# -- vectorized criterion for F = x^3 --------------------------------------
+# -- the kernel criterion for F = x^3 as forbidden sets -------------------
 
-class _CubeCriterion:
-    """Batch evaluation of the trivial-kernel criterion for x^3 + Tr*L
-    over candidate indices."""
+class _CubeKernel:
+    """The kernel criterion for x^3 + Tr(x)L(x) as forbidden sets.
+
+    Coordinate c < 2^(n-1) names x_c, the XOR of the trace-zero basis
+    vectors at the set bits of c.  The criterion fails iff L(x_c) lies in
+    S_c = {B(x_c, a + e_0) : Tr(a) = 0} for some c != 0, and `forb[c, v]`
+    says whether v is in S_c (row 0 is empty).  Digit j of a candidate
+    index is L(x_{2^j}), so every c is decided by the digits at its set
+    bits, and last by the digit at its lowest set bit.
+    """
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.n = spec.n
-        self.e0 = spec.trace_one_element()
-        self.t0 = spec.trace_zero_elements()
-        self.basis = t0_basis(spec)
-        cube = power_function(spec, 3)
-        k = len(self.t0)
-        # coordinates of each trace-zero element over the basis
-        pivots: dict[int, tuple[int, int]] = {}
-        for i, b in enumerate(self.basis):
-            v, c = b, 1 << i
-            while v:
-                hb = v.bit_length() - 1
-                if hb in pivots:
-                    v2, c2 = pivots[hb]
-                    v ^= v2
-                    c ^= c2
-                else:
-                    pivots[hb] = (v, c)
-                    break
-        coords = []
-        for x in self.t0:
-            v, c = x, 0
-            while v:
-                hb = v.bit_length() - 1
-                v2, c2 = pivots[hb]
-                v ^= v2
-                c ^= c2
-            coords.append(c)
-        self.coords = np.array(coords, dtype=np.int64)
-        # bform targets per a: C[a_idx, x_idx] = B(x, a + e0)
-        self.targets = np.array(
-            [[cube.bform(x, a ^ self.e0) for x in self.t0] for a in self.t0],
-            dtype=np.int64,
-        )
-        self.nonzero = np.array([i for i, x in enumerate(self.t0) if x], dtype=np.int64)
-
-    def l_tables(self, indices: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.zeros((indices.shape[0], len(self.t0)), dtype=np.int64)
-        for i in range(n - 1):
-            digit = (indices >> (n * i)) & (self.spec.size - 1)
-            cols = np.nonzero((self.coords >> i) & 1)[0]
-            out[:, cols] ^= digit[:, None]
-        return out
+        n = spec.n
+        if n * (n - 1) > 63:
+            raise ValueError(
+                f"a candidate index at n={n} needs {n * (n - 1)} bits; "
+                "searches support n(n-1) <= 63, i.e. n <= 8")
+        self.n, self.size = n, spec.size
+        cube = np.array(power_function(spec, 3).table, dtype=np.int64)
+        xs = _xor_span(t0_basis(spec))
+        t1 = xs ^ spec.trace_one_element()  # the a + e_0
+        bform = cube[xs[:, None] ^ t1] ^ cube[xs][:, None] ^ cube[t1] ^ cube[0]
+        self.forb = np.zeros((xs.size, spec.size), dtype=bool)
+        self.forb[np.arange(xs.size)[:, None], bform] = True
+        self.forb[0] = False
 
     def holds(self, indices: np.ndarray) -> np.ndarray:
-        ltab = self.l_tables(indices)[:, self.nonzero]
-        ok = np.ones(indices.shape[0], dtype=bool)
-        for a_idx in range(len(self.t0)):
-            live = np.nonzero(ok)[0]
-            if live.size == 0:
-                break
-            bad = (ltab[live] == self.targets[a_idx, self.nonzero][None, :]).any(axis=1)
-            ok[live[bad]] = False
-        return ok
+        """Criterion mask for an array of candidate indices: one gather of
+        forb[c, L(x_c)] per index and coordinate."""
+        n, k = self.n, self.forb.shape[0]
+        block = 1 << 12
+        flat = self.forb.ravel()
+        offsets = np.arange(k) * self.size
+        out = np.empty(indices.shape[0], dtype=bool)
+        for lo in range(0, indices.shape[0], block):
+            idx = indices[lo:lo + block].astype(np.uint64)
+            digits = [(idx >> np.uint64(n * i)) & np.uint64(self.size - 1)
+                      for i in range(n - 1)]
+            ltab = _xor_span(digits, idx.shape, np.intp)
+            ltab += offsets
+            out[lo:lo + block] = ~flat[ltab].any(axis=1)
+        return out
+
+    @cached_property
+    def shifted(self) -> np.ndarray:
+        """shifted[c, p] = the set S_c + p as a bitmask of little-endian
+        uint64 words, bit v standing for the value v."""
+        v = np.arange(self.size)
+        bits = np.zeros(self.forb.shape + (max(64, self.size),), dtype=bool)
+        bits[..., :self.size] = self.forb[:, v[:, None] ^ v]
+        return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+    def _allowed(self, ltab: np.ndarray, cols: np.ndarray, j: int) -> np.ndarray:
+        """Mask (B, 2^n) of the values of digit j that pass every
+        coordinate with lowest set bit j, given L(x_cols[k]) = ltab[:, k]
+        on the span of the higher digits."""
+        forbidden = np.bitwise_or.reduce(self.shifted[cols | (1 << j), ltab], axis=1)
+        bits = np.unpackbits(forbidden.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")
+        return bits[:, :self.size] == 0
+
+    def scan(self, lo: int, hi: int, cap: int) -> tuple[int, list[int]]:
+        """Hit count, and the first `cap` hits in index order, over the
+        candidates whose top digit lies in [lo, hi).
+
+        Digits are fixed from the top down; each step keeps, for every
+        surviving prefix, the digit values its forbidden sets leave free,
+        so a whole block of 2^n candidates is decided at once and dead
+        prefixes are never extended."""
+        n = self.n
+        chunk = max(1, (1 << 18) >> n)
+        count = 0
+        hits: list[int] = []
+
+        def visit(base, ltab, cols, j):
+            nonlocal count
+            ok = self._allowed(ltab, cols, j)
+            if j == n - 2:
+                ok[:, :lo] = False
+                ok[:, hi:] = False
+            if j == 0:
+                count += int(ok.sum())
+                if len(hits) < cap:
+                    rows, ds = np.nonzero(ok)
+                    need = cap - len(hits)
+                    hits.extend((base[rows[:need]] + ds[:need]).tolist())
+                return
+            rows, ds = np.nonzero(ok)
+            base = base[rows] + (ds.astype(np.int64) << (n * j))
+            ltab = ltab[rows]
+            ltab = np.concatenate([ltab, ltab ^ ds[:, None]], axis=1)
+            cols = np.concatenate([cols, cols | (1 << j)])
+            for s in range(0, rows.size, chunk):
+                visit(base[s:s + chunk], ltab[s:s + chunk], cols, j - 1)
+
+        visit(np.zeros(1, dtype=np.int64), np.zeros((1, 1), dtype=np.intp),
+              np.zeros(1, dtype=np.intp), n - 2)
+        return count, hits
 
 
-def _eval_range(spec: FieldSpec, start: int, stop: int,
-                block: int = 1 << 14) -> tuple[int, list[int]]:
-    crit = _CubeCriterion(spec)
-    count = 0
-    hits: list[int] = []
-    for lo in range(start, stop, block):
-        idx = np.arange(lo, min(lo + block, stop), dtype=np.int64)
-        mask = crit.holds(idx)
-        count += int(mask.sum())
-        hits.extend(int(v) for v in idx[mask])
-    return count, hits
+def _scan_worker(args) -> tuple[int, list[int]]:
+    spec_fields, lo, hi, cap = args
+    return _CubeKernel(FieldSpec(*spec_fields)).scan(lo, hi, cap)
 
 
-def _eval_chunk_worker(args) -> tuple[int, list[int]]:
-    spec_fields, start, stop, cap = args
-    spec = FieldSpec(*spec_fields)
-    count, hits = _eval_range(spec, start, stop)
-    return count, hits[:cap]
+class VerificationError(RuntimeError):
+    """A fast path disagrees with the direct check it is verified by."""
 
 
 def search_tr_l(spec: FieldSpec,
@@ -232,10 +277,11 @@ def search_tr_l(spec: FieldSpec,
     """Count linear maps L with L(e_0) = 0 making x^3 + Tr(x)L(x) APN.
 
     Exhaustive mode scans the whole 2^(n(n-1)) space (degree >= 6 needs
-    long_ok); random mode draws `samples` seeded indices.  Hits are
-    spot-checked against the direct APN test (all hits for degree <= 5,
-    1 in 100 above).
+    long_ok), splitting the top digit's range across `workers`; random
+    mode draws `samples` seeded indices.  Hits are spot-checked against
+    the direct APN test (all hits for degree <= 5, 1 in 100 above).
     """
+    kernel = _CubeKernel(spec)
     total = map_space_size(spec)
     t_start = time.monotonic()
     if mode == "exhaustive":
@@ -243,32 +289,26 @@ def search_tr_l(spec: FieldSpec,
             raise ValueError(
                 f"exhaustive space 2^{spec.n * (spec.n - 1)} needs the long-run opt-in"
             )
-        bounds = [(total * w) // workers for w in range(workers + 1)]
-        chunks = [(bounds[w], bounds[w + 1]) for w in range(workers)]
+        bounds = [(spec.size * w) // workers for w in range(workers + 1)]
+        ranges = list(zip(bounds, bounds[1:]))
         if workers > 1:
-            args = [((spec.n, spec.modulus, spec.generator), a, b, cap) for a, b in chunks]
+            args = [((spec.n, spec.modulus, spec.generator), lo, hi, cap)
+                    for lo, hi in ranges]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_eval_chunk_worker, args))
+                results = list(pool.map(_scan_worker, args))
         else:
-            results = [_eval_range(spec, a, b) for a, b in chunks]
+            results = [kernel.scan(lo, hi, cap) for lo, hi in ranges]
         hits = sum(c for c, _ in results)
-        hit_list = sorted(h for _, hl in results for h in hl)[:cap]
+        hit_list = [h for _, hl in results for h in hl][:cap]
         examined = total
         space = f"trl-exhaustive-n{spec.n}"
     elif mode == "random":
         if seed is None:
             raise ValueError("random mode needs a seed")
-        rng = SplitMix64(seed)
-        indices = np.array([rng.below(total) for _ in range(samples)], dtype=np.int64)
-        crit = _CubeCriterion(spec)
-        hits = 0
-        found: set[int] = set()
-        for lo in range(0, samples, 1 << 14):
-            blk = indices[lo:lo + (1 << 14)]
-            mask = crit.holds(blk)
-            hits += int(mask.sum())
-            found.update(int(v) for v in blk[mask])
-        hit_list = sorted(found)[:cap]
+        indices = SplitMix64(seed).below_many(total, samples).astype(np.int64)
+        mask = kernel.holds(indices)
+        hits = int(mask.sum())
+        hit_list = np.unique(indices[mask])[:cap].tolist()
         examined = samples
         space = f"trl-random-n{spec.n}"
     else:
@@ -284,12 +324,13 @@ def search_tr_l(spec: FieldSpec,
 
 def _verify_hits(spec: FieldSpec, hit_list: list[int], every: int) -> None:
     cube = power_function(spec, 3)
+    check_quadratic_apn(cube)
     for h in hit_list[::every]:
         L = linear_map_from_index(spec, h)
-        if not th31_criterion(cube, L):
-            raise AssertionError(f"hit {h} fails the kernel criterion")
+        if not th31_criterion(cube, L, checked=True):
+            raise VerificationError(f"hit {h} fails the kernel criterion")
         if not hyperplane_modify(cube, L).is_apn():
-            raise AssertionError(f"hit {h} fails the direct APN test")
+            raise VerificationError(f"hit {h} fails the direct APN test")
 
 
 # -- criterion-vs-oracle cross-checks --------------------------------------
@@ -326,42 +367,13 @@ def _full_l_tables(spec: FieldSpec, indices: np.ndarray,
     unconstrained indices pack images of the standard basis in n-bit
     digits."""
     n = spec.n
-    out = np.zeros((indices.shape[0], spec.size), dtype=np.int64)
-    xs = np.arange(spec.size)
-    if constrained:
-        e0 = spec.trace_one_element()
-        basis = t0_basis(spec) + [e0]
-        pivots: dict[int, tuple[int, int]] = {}
-        for i, b in enumerate(basis):
-            v, c = b, 1 << i
-            while v:
-                hb = v.bit_length() - 1
-                if hb in pivots:
-                    v2, c2 = pivots[hb]
-                    v ^= v2
-                    c ^= c2
-                else:
-                    pivots[hb] = (v, c)
-                    break
-        coords = []
-        for x in range(spec.size):
-            v, c = x, 0
-            while v:
-                hb = v.bit_length() - 1
-                v2, c2 = pivots[hb]
-                v ^= v2
-                c ^= c2
-            coords.append(c)
-        carr = np.array(coords, dtype=np.int64)
-        for i in range(n - 1):  # the e_0 digit maps to 0
-            digit = (indices >> (n * i)) & (spec.size - 1)
-            cols = np.nonzero((carr >> i) & 1)[0]
-            out[:, cols] ^= digit[:, None]
-    else:
-        for i in range(n):
-            digit = (indices >> (n * i)) & (spec.size - 1)
-            cols = np.nonzero((xs >> i) & 1)[0]
-            out[:, cols] ^= digit[:, None]
+    digits = [(indices >> (n * i)) & (spec.size - 1)
+              for i in range(n - 1 if constrained else n)]
+    if not constrained:
+        return _xor_span(digits, indices.shape)
+    out = np.empty((indices.shape[0], spec.size), dtype=np.int64)
+    out[:, _xor_span(t0_basis(spec) + [spec.trace_one_element()])] = \
+        _xor_span(digits + [np.zeros_like(indices)], indices.shape)
     return out
 
 
@@ -379,6 +391,7 @@ def th31_crosscheck(spec: FieldSpec,
                     seed: Optional[int] = None) -> CrossCheckReport:
     """Kernel criterion vs direct APN test for x^3 + Tr*L over constrained
     maps (L(e_0) = 0): exhaustive, or `samples` seeded random indices."""
+    kernel = _CubeKernel(spec)
     total = map_space_size(spec)
     t0 = time.monotonic()
     if samples is None:
@@ -387,14 +400,12 @@ def th31_crosscheck(spec: FieldSpec,
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
-        rng = SplitMix64(seed)
-        indices = np.array([rng.below(total) for _ in range(samples)], dtype=np.int64)
+        indices = SplitMix64(seed).below_many(total, samples).astype(np.int64)
         space = f"th31-vs-ddt-random-n{spec.n}"
-    crit = _CubeCriterion(spec)
     agree = chits = ohits = 0
     for lo in range(0, indices.shape[0], 1 << 13):
         blk = indices[lo:lo + (1 << 13)]
-        cmask = crit.holds(blk)
+        cmask = kernel.holds(blk)
         omask = _batch_modify_apn(spec, _full_l_tables(spec, blk, constrained=True))
         agree += int((cmask == omask).sum())
         chits += int(cmask.sum())
@@ -470,7 +481,7 @@ def search_coset_constants(F: VBF, dec: CosetDecomposition) -> CosetConstantRepo
     for s in sorted(adm):
         consts = (0, 0, 0, s)
         if not coset_modify(F, dec, consts).is_apn():
-            raise AssertionError(f"admissible sum {s} fails the direct APN test")
+            raise VerificationError(f"admissible sum {s} fails the direct APN test")
         tuples.append(consts)
     examined = (1 << (F.n - 2)) ** 3
     return CosetConstantReport(adm, tuple(tuples), examined, time.monotonic() - t0)

@@ -176,6 +176,14 @@ class WalshSpectrum:
     def value_set(self) -> frozenset[int]:
         return frozenset(v for v, c in self.values if c)
 
+    def magnitudes(self) -> "WalshSpectrum":
+        """The multiset of |W(a, b)|: the signs depend on the
+        representative, the absolute values are EA/CCZ-invariant."""
+        c: Counter = Counter()
+        for v, k in self.values:
+            c[abs(v)] += k
+        return WalshSpectrum.from_counter(c)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, WalshSpectrum):
             return NotImplemented

@@ -32,7 +32,18 @@ def _run(capsys, *args):
     return code, out.out, out.err
 
 
+def _plus_one(F):
+    return VBF(F.n, F.m, tuple(v ^ 1 for v in F.table), spec=F.spec)
+
+
 class TestAnalyze:
+    def test_spectrum_verdict_ignores_walsh_signs(self, tmp_path, capsys):
+        # x^3 + 1 flips the sign of half the Walsh values of x^3
+        p = _write_vbf(tmp_path, "c1.vbf1", _plus_one(power_function(field_for(8), 3)))
+        code, out, _ = _run(capsys, "analyze", p)
+        assert code == 0
+        assert "spectrum: classical" in out
+
     def test_cube_n6(self, tmp_path, capsys):
         p = _write_vbf(tmp_path, "c.vbf1", power_function(field_for(6), 3))
         code, out, _ = _run(capsys, "analyze", p)
@@ -157,6 +168,22 @@ class TestConstruct:
         jsonschema.validate(cert, schema)
         assert cert["kind"] == "concat"
 
+    def test_certificate_disagreement_exits_1(self, tmp_path, capsys,
+                                              monkeypatch):
+        import apnlab.cli as cli
+
+        real = cli.th31_criterion
+        monkeypatch.setattr(cli, "th31_criterion", lambda F, L: not real(F, L))
+        lp = tmp_path / "L.lin1"
+        with open(lp, "w") as fh:
+            write_lin1(fh, table1_maps(field_for(6))[1])
+        out_path = tmp_path / "g.vbf1"
+        code, out, err = _run(capsys, "construct", "hmod", "--n", "6",
+                              "--map", str(lp), "--out", str(out_path))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1 and "disagrees" in err
+        assert not out_path.exists()
+
     def test_bad_consts_exit_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, "construct", "coset", "--n", "8",
                             "--consts", "0,0,1",
@@ -186,6 +213,21 @@ class TestSearch:
         code, _, err = _run(capsys, "search", "--n", "6")
         assert code == 2 and "long" in err
 
+    def test_index_wider_than_63_bits_exits_2(self, capsys):
+        code, out, err = _run(capsys, "search", "--n", "9", "--mode", "random",
+                              "--samples", "10", "--seed", "1")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "63" in err
+
+    def test_failed_hit_verification_exits_1(self, capsys, monkeypatch):
+        import apnlab.search as search
+
+        monkeypatch.setattr(search, "hyperplane_modify",
+                            lambda F, L: power_function(field_for(4), 7))
+        code, out, err = _run(capsys, "search", "--n", "4", "--cap", "4")
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "direct APN test" in err
+
 
 class TestRank:
     def test_rank_report(self, tmp_path, capsys):
@@ -211,6 +253,16 @@ class TestRank:
         d = json.loads(out)
         assert d["provably_inequivalent"] is True
         assert d["separating_invariant"] in ("gamma_rank", "walsh_spectrum")
+
+    def test_constant_shift_not_declared_inequivalent(self, tmp_path, capsys):
+        F = power_function(field_for(6), 3)
+        p1 = _write_vbf(tmp_path, "a.vbf1", F)
+        p2 = _write_vbf(tmp_path, "b.vbf1", _plus_one(F))
+        code, out, _ = _run(capsys, "rank", p1, p2)
+        assert code == 0
+        d = json.loads(out)
+        assert d["provably_inequivalent"] is False
+        assert d["separating_invariant"] is None
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         p1 = _write_vbf(tmp_path, "a.vbf1", power_function(field_for(4), 3))

@@ -82,6 +82,13 @@ class TestClassicalSpectrum:
         assert flags[6] is False
         assert all(flags[:6]) and all(flags[7:])
 
+    def test_signs_of_walsh_values_ignored(self):
+        F = power_function(field_for(6), 3)
+        G = VBF(6, 6, tuple(v ^ 1 for v in F.table), spec=F.spec)
+        assert G.walsh_spectrum() != F.walsh_spectrum()
+        assert is_classical(G)
+        assert distinguish(F, G).invariant is None
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             classical_spectrum(5)

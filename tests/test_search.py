@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 
 from apnlab.constructions import CosetDecomposition, th31_criterion
 from apnlab.field import field_for
 from apnlab.search import (
     SplitMix64,
+    VerificationError,
+    _batch_modify_apn,
+    _CubeKernel,
+    _full_l_tables,
     enumerate_subspaces,
     exp_sum_crosscheck,
     linear_map_from_index,
@@ -28,6 +33,16 @@ class TestRng:
         a = [SplitMix64(9).below(1000) for _ in range(5)]
         b = [SplitMix64(9).below(1000) for _ in range(5)]
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    @pytest.mark.parametrize("bound", [2**20, 2**30, 2**56, 1000])
+    def test_below_many_equals_below(self, seed, bound):
+        scalar, batch = SplitMix64(seed), SplitMix64(seed)
+        want = [scalar.below(bound) for _ in range(300)]
+        got = (batch.below_many(bound, 200).tolist()
+               + batch.below_many(bound, 100).tolist())
+        assert got == want
+        assert batch.state == scalar.state
 
 
 class TestEncoding:
@@ -118,10 +133,64 @@ class TestTrLSearch:
         rep = search_tr_l(field_for(4), cap=10)
         assert len(rep.hit_list) == 10 and rep.hits == 448
 
+    def test_exhaustive_scan_equals_per_index_kernel(self):
+        # the digit-at-a-time scan and the one-gather-per-index test
+        # agree on every candidate at n = 5
+        spec = field_for(5)
+        kernel = _CubeKernel(spec)
+        idx = np.arange(map_space_size(spec), dtype=np.int64)
+        per_index = idx[kernel.holds(idx)].tolist()
+        count, hits = kernel.scan(0, spec.size, cap=10**6)
+        assert count == len(per_index) == 4608
+        assert hits == per_index
+        # a split of the top digit's range gives the same hits in order
+        parts = [kernel.scan(lo, hi, cap=10**6)
+                 for lo, hi in ((0, 7), (7, 8), (8, 32))]
+        assert [h for _, hl in parts for h in hl] == per_index
+
+    def test_degree6_exhaustive_count_default_suite(self):
+        spec = field_for(6)
+        rep = search_tr_l(spec, long_ok=True)
+        assert rep.hits == 35648 and rep.examined == 1 << 30
+        # the first hits, against the direct APN test of every candidate
+        # up to the last of them
+        rep = search_tr_l(spec, long_ok=True, cap=16)
+        idx = np.arange(rep.hit_list[-1] + 1, dtype=np.int64)
+        apn = np.concatenate([
+            _batch_modify_apn(spec, _full_l_tables(spec, idx[lo:lo + 4096], True))
+            for lo in range(0, idx.size, 4096)])
+        assert idx[apn].tolist() == list(rep.hit_list)
+
+    def test_index_wider_than_63_bits_rejected(self):
+        for mode in ("exhaustive", "random"):
+            with pytest.raises(ValueError, match="63"):
+                search_tr_l(field_for(9), mode=mode, samples=10, seed=1,
+                            long_ok=True)
+
+    def test_base_function_checked_once_per_search(self, monkeypatch):
+        from apnlab.vbf import VBF
+
+        calls = []
+        real = VBF.is_apn
+        monkeypatch.setattr(VBF, "is_apn", lambda self: calls.append(1) or real(self))
+        search_tr_l(field_for(4), cap=10)
+        # one check of x^3, then one direct test per verified hit
+        assert len(calls) == 11
+
+    def test_disagreeing_hit_raises_named_error(self, monkeypatch):
+        import apnlab.search as search
+
+        spec = field_for(4)
+        monkeypatch.setattr(search, "hyperplane_modify",
+                            lambda F, L: power_function(spec, 7))
+        with pytest.raises(VerificationError, match="direct APN test"):
+            search_tr_l(spec, cap=4)
+
 
 @pytest.mark.long
 def test_degree6_exhaustive_count():
-    """Full 2^30 scan at n=6 (about an hour of CPU; scales with workers).
+    """Full 2^30 scan at n=6 split across 4 worker processes (about 0.1 s
+    of CPU on one process, as the default-suite count above shows).
 
     The count is this artifact's own derived ground truth; 1% of hits are
     re-verified against the direct APN test inside the search.
@@ -155,6 +224,17 @@ class TestCosetConstants:
         assert rep.admissible == frozenset({0, 1, w, w2})
         assert (0, 0, 0, 0) in rep.sample_tuples
         assert len(rep.sample_tuples) == 4
+
+    def test_disagreeing_sum_raises_named_error(self, monkeypatch):
+        import apnlab.search as search
+
+        spec = field_for(6)
+        F = power_function(spec, 3)
+        dec = enumerate_subspaces(6, 2, 1, seed=4)[0]
+        monkeypatch.setattr(search, "coset_modify",
+                            lambda F, dec, consts: power_function(spec, 7))
+        with pytest.raises(VerificationError):
+            search_coset_constants(F, dec)
 
     def test_n6_random_subspace_tuples_verified(self):
         spec = field_for(6)
