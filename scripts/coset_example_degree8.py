@@ -22,8 +22,8 @@ from apnlab import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rank", action="store_true",
-                    help="also compute both incidence ranks (several "
-                         "minutes each)")
+                    help="also compute both incidence ranks (about a "
+                         "minute each)")
     args = ap.parse_args()
     spec = field_for(8)
     cube = power_function(spec, 3)

@@ -14,43 +14,61 @@ from .vbf import VBF, WalshSpectrum
 MAX_RANK_SIDE_BITS = 16  # incidence matrix side 2^(n+m)
 
 
+def _insert(pivots: list, row: int) -> int:
+    """Reduce `row` by the table of rows keyed by their top bit; store and
+    return the remainder if it is nonzero.  Returns 0 when `row` is in the
+    span already."""
+    while row:
+        b = row.bit_length() - 1
+        p = pivots[b]
+        if p is None:
+            pivots[b] = row
+            return row
+        row ^= p
+    return 0
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of rows given as bitmask ints."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
-                break
-            row ^= p
-    return len(pivots)
-
-
-def _incidence_rows(F: VBF):
-    """Rows of the incidence matrix: row (u, v) has a 1 at column (a, b)
-    iff F(a + u) = b + v, i.e. the (u, v)-translate of the graph."""
-    n, m = F.n, F.m
-    words = 1 << (n + m - 3) if n + m >= 3 else 1
-    graph = [(a << m) | F.table[a] for a in range(1 << n)]
-    for u in range(1 << n):
-        shifted = [((a ^ u) << m) | fa for (a, fa) in enumerate(F.table)]
-        for v in range(1 << m):
-            buf = bytearray(words)
-            for pos in shifted:
-                p = pos ^ v
-                buf[p >> 3] |= 1 << (p & 7)
-            yield int.from_bytes(buf, "little")
+    rows = list(rows)
+    pivots: list = [None] * max((r.bit_length() for r in rows), default=0)
+    return sum(1 for r in rows if _insert(pivots, r))
 
 
 def gamma_rank(F: VBF) -> int:
-    """GF(2) rank of the 2^(n+m)-square incidence matrix of the graph."""
-    if F.n + F.m > MAX_RANK_SIDE_BITS:
+    """GF(2) rank of the 2^(n+m)-square incidence matrix of the graph.
+
+    Row (u, v) is the indicator of the graph translated by (u, v), i.e. the
+    set of columns ((a + u) << m) | (F(a) + v).  So the row space is the
+    span V of all translates of the graph indicator f, and its dimension is
+    found without listing the 2^(n+m) rows: V_0 = <f>, and
+    V_k = V_(k-1) + X^(e_k) V_(k-1), where X^(e_k) translates by the k-th
+    unit vector.  Only the current basis is translated at each step.  On a
+    row int, translating by s = 2^k moves the bits whose position has bit
+    k clear up by s and the others down by s.
+    """
+    m = F.m
+    bits = F.n + m
+    if bits > MAX_RANK_SIDE_BITS:
         raise ValueError(
-            f"matrix side 2^{F.n + F.m} exceeds the 2^{MAX_RANK_SIDE_BITS} budget"
+            f"matrix side 2^{bits} exceeds the 2^{MAX_RANK_SIDE_BITS} budget"
         )
-    return gf2_rank(_incidence_rows(F))
+    side = 1 << bits
+    full = (1 << side) - 1
+    f = 0
+    for a, fa in enumerate(F.table):
+        f |= 1 << ((a << m) | fa)
+    pivots: list = [None] * side
+    basis = [_insert(pivots, f)]
+    for k in range(bits):
+        s = 1 << k
+        lo = full // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
+        hi = full ^ lo
+        for v in list(basis):
+            r = _insert(pivots, ((v & lo) << s) | ((v & hi) >> s))
+            if r:
+                basis.append(r)
+    return len(basis)
 
 
 def classical_spectrum(n: int) -> WalshSpectrum:

@@ -33,6 +33,8 @@ def read_vbf1(fh: TextIO, spec: Optional[FieldSpec] = None) -> VBF:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError(1, "expected header `n m`") from None
+    if n < 0 or m < 0:
+        raise FormatError(1, f"dimensions {n} {m} must be non-negative")
     tokens: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         for tok in line.split():

@@ -93,6 +93,8 @@ class SearchReport:
     workers: int
 
     def to_dict(self) -> dict:
+        """The printed report: `seconds` is left out, so it depends only on
+        the inputs."""
         return {
             "space": self.space,
             "examined": self.examined,
@@ -100,7 +102,6 @@ class SearchReport:
             "hit_list": list(self.hit_list),
             "cap": self.cap,
             "seed": self.seed,
-            "seconds": self.seconds,
             "workers": self.workers,
         }
 
@@ -281,6 +282,10 @@ def search_tr_l(spec: FieldSpec,
     mode draws `samples` seeded indices.  Hits are spot-checked against
     the direct APN test (all hits for degree <= 5, 1 in 100 above).
     """
+    if cap < 0:
+        raise ValueError(f"cap {cap} must be non-negative")
+    if samples < 0:
+        raise ValueError(f"sample count {samples} must be non-negative")
     kernel = _CubeKernel(spec)
     total = map_space_size(spec)
     t_start = time.monotonic()

@@ -105,3 +105,25 @@ def oracle_four_sum_values(table, n: int):
                 if len({x, y, z, w}) == 4:
                     vals.add(table[x] ^ table[y] ^ table[z] ^ table[w])
     return vals
+
+
+def oracle_gamma_rank(table, n: int, m: int) -> int:
+    """Rank of the 2^(n+m)-square incidence matrix, eliminating its rows
+    one by one: row (u, v) has a 1 at column (a, b) iff F(a + u) = b + v."""
+    words = 1 << (n + m - 3) if n + m >= 3 else 1
+    pivots: dict[int, int] = {}
+    for u in range(1 << n):
+        shifted = [((a ^ u) << m) | fa for a, fa in enumerate(table)]
+        for v in range(1 << m):
+            buf = bytearray(words)
+            for pos in shifted:
+                p = pos ^ v
+                buf[p >> 3] |= 1 << (p & 7)
+            row = int.from_bytes(buf, "little")
+            while row:
+                b = row.bit_length() - 1
+                if b not in pivots:
+                    pivots[b] = row
+                    break
+                row ^= pivots[b]
+    return len(pivots)

@@ -65,6 +65,13 @@ class TestAnalyze:
         assert code == 2
         assert "expected header" in err
 
+    def test_negative_dimension_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "neg.vbf1"
+        p.write_text("-1 1\n0\n")
+        code, out, err = _run(capsys, "analyze", str(p))
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "non-negative" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = _run(capsys, "analyze", "/nonexistent/x.vbf1")
         assert code == 2
@@ -204,6 +211,33 @@ class TestSearch:
         assert code == 0
         assert out.splitlines()[0].startswith("space,examined,hits")
 
+    def test_stdout_depends_only_on_inputs(self, capsys):
+        _, first, _ = _run(capsys, "search", "--n", "4")
+        _, second, _ = _run(capsys, "search", "--n", "4")
+        assert first == second and "seconds" not in first
+
+    @pytest.mark.parametrize("mode", [
+        [], ["--mode", "random", "--samples", "20000", "--seed", "5"]])
+    def test_worker_count_only_changes_workers_field(self, capsys, mode):
+        reports = []
+        for workers in ("1", "2"):
+            code, out, _ = _run(capsys, "search", "--n", "5", "--workers",
+                                workers, *mode)
+            assert code == 0
+            d = json.loads(out)
+            assert d.pop("workers") == int(workers)
+            reports.append(d)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("bad", [
+        ["--mode", "random", "--seed", "1", "--samples", "-5"],
+        ["--cap", "-1"],
+        ["--mode", "random", "--seed", "1", "--samples", "10", "--cap", "-1"]])
+    def test_negative_counts_exit_2(self, capsys, bad):
+        code, out, err = _run(capsys, "search", "--n", "4", *bad)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "non-negative" in err
+
     def test_random_needs_seed(self, capsys):
         code, _, err = _run(capsys, "search", "--n", "4", "--mode", "random",
                             "--samples", "10")
@@ -236,6 +270,17 @@ class TestRank:
         assert code == 0
         d = json.loads(out)
         assert d["n"] == 4 and d["gamma_rank"] == 100
+
+    def test_report_has_no_timing(self, tmp_path, capsys):
+        p = _write_vbf(tmp_path, "c.vbf1", power_function(field_for(4), 3))
+        _, out, _ = _run(capsys, "rank", p)
+        assert json.loads(out) == {"n": 4, "m": 4, "gamma_rank": 100}
+
+    def test_over_budget_exits_2(self, tmp_path, capsys):
+        p = _write_vbf(tmp_path, "big.vbf1", VBF(9, 9, tuple(range(512))))
+        code, out, err = _run(capsys, "rank", "--long", p)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "2^16" in err
 
     def test_large_rank_needs_long(self, tmp_path, capsys):
         p = _write_vbf(tmp_path, "c.vbf1", power_function(field_for(8), 3))

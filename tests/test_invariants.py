@@ -20,7 +20,10 @@ from apnlab.invariants import (
 )
 from apnlab.vbf import VBF, inverse_function, power_function
 
-from _oracles import oracle_gf2_rank
+from _oracles import oracle_gamma_rank, oracle_gf2_rank
+
+TABLE1_RANKS = [1102, 1170, 1146, 1158, 1166, 1168, 1170, 1172, 1174, 1170,
+                1172, 1166, 1170]
 
 
 class TestGf2Rank:
@@ -59,6 +62,24 @@ class TestGammaRank:
         F = VBF(9, 9, tuple(range(512)))
         with pytest.raises(ValueError):
             gamma_rank(F)
+
+    def test_matches_row_elimination_oracle(self):
+        rng = random.Random(11)
+        for _ in range(24):
+            n = rng.randrange(1, 7)
+            m = rng.randrange(1, 11 - n)
+            F = VBF(n, m, tuple(rng.randrange(1 << m) for _ in range(1 << n)))
+            G = ea_transform(F, *random_ea_triple(n, m, rng))
+            want = oracle_gamma_rank(F.table, n, m)
+            assert gamma_rank(F) == want, (n, m)
+            assert gamma_rank(G) == oracle_gamma_rank(G.table, n, m) == want
+
+    def test_table1_ranks(self):
+        ranks = [gamma_rank(G) for G in table1_functions(field_for(6))]
+        assert ranks == TABLE1_RANKS
+
+    def test_cube_n7(self):
+        assert gamma_rank(power_function(field_for(7), 3)) == 3610
 
     def test_ea_invariance_small(self):
         rng = random.Random(17)

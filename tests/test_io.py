@@ -35,6 +35,11 @@ class TestVbf1:
             read_vbf1(io.StringIO("2 2\n0 1\nzz 3\n"))
         assert e.value.line == 3
 
+    def test_negative_dimension(self):
+        with pytest.raises(FormatError) as e:
+            read_vbf1(io.StringIO("-1 1\n0\n"))
+        assert e.value.line == 1
+
     def test_wrong_count(self):
         with pytest.raises(FormatError):
             read_vbf1(io.StringIO("2 2\n0 1 2\n"))
