@@ -12,13 +12,14 @@ from apnlab import (
 )
 
 
-def main() -> None:
-    argparse.ArgumentParser(description=__doc__).parse_args()
+def main(argv=None) -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     spec = field_for(6)
-    classical = classical_spectrum(6)
+    classical = classical_spectrum(6).magnitudes()
     print(f"{'i':>2}  {'APN':>4}  {'quad':>4}  {'spectrum':>13}  {'rank':>5}")
     for i, G in enumerate(table1_functions(spec), start=1):
-        kind = "classical" if G.walsh_spectrum() == classical else "non-classical"
+        classical_here = G.walsh_spectrum().magnitudes() == classical
+        kind = "classical" if classical_here else "non-classical"
         print(f"{i:>2}  {str(G.is_apn()):>4}  {str(G.is_quadratic()):>4}  "
               f"{kind:>13}  {gamma_rank(G):>5}")
 

@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .constructions import (
@@ -44,23 +44,6 @@ from .vbf import VBF, from_univariate, power_function
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    """Validated per-invocation settings shared across subcommands."""
-
-    command: str
-    n: Optional[int] = None
-    modulus: Optional[int] = None
-    style: str = "hex"
-    seed: Optional[int] = None
-    workers: int = 1
-    long_ok: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def field_spec(self, n: Optional[int] = None) -> FieldSpec:
-        return field_for(n if n is not None else self.n, self.modulus)
 
 
 def _parse_hex(s: str) -> int:
@@ -106,14 +89,17 @@ def cmd_analyze(args, out=None) -> int:
             pass
     print(f"n: {F.n}", file=out)
     print(f"m: {F.m}", file=out)
-    print(f"uniformity: {F.uniformity()}", file=out)
-    print(f"APN: {str(F.is_apn()).lower()}", file=out)
-    print(f"algebraic degree: {F.algebraic_degree()}", file=out)
-    print(f"quadratic: {str(F.is_quadratic()).lower()}", file=out)
+    uniformity = F.uniformity()
+    apn = uniformity <= 2
+    degree = F.algebraic_degree()
+    print(f"uniformity: {uniformity}", file=out)
+    print(f"APN: {str(apn).lower()}", file=out)
+    print(f"algebraic degree: {degree}", file=out)
+    print(f"quadratic: {str(degree <= 2).lower()}", file=out)
     ws = F.walsh_spectrum()
     hist = ", ".join(f"{v}:{c}" for v, c in ws.values)
     print(f"walsh histogram: {hist}", file=out)
-    if F.n == F.m and F.n % 2 == 0 and F.is_apn():
+    if F.n == F.m and F.n % 2 == 0 and apn:
         classical = ws.magnitudes() == classical_spectrum(F.n).magnitudes()
         verdict = "classical" if classical else "non-classical"
         print(f"spectrum: {verdict}", file=out)
@@ -408,7 +394,10 @@ def cmd_rank(args, out=None) -> int:
 
 # -- parser ----------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Reuse is safe: no
+    action has a mutable default (no `append` action, no list default)."""
     p = argparse.ArgumentParser(
         prog="apnlab",
         description="Construct and analyze APN vectorial Boolean functions.",
@@ -487,31 +476,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_config(args) -> RunConfig:
-    """Collect and validate the shared settings before dispatch."""
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        modulus=getattr(args, "modulus", None),
-        style=getattr(args, "style", "hex"),
-        seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", 1),
-        long_ok=getattr(args, "long", False),
-    )
-    if cfg.n is not None and not 2 <= cfg.n <= 16:
-        raise ValueError(f"field degree {cfg.n} out of range [2, 16]")
-    if cfg.workers < 1:
+def _check_settings(args) -> None:
+    """Validate the settings shared across subcommands before dispatch."""
+    n = getattr(args, "n", None)
+    if n is not None and not 2 <= n <= 16:
+        raise ValueError(f"field degree {n} out of range [2, 16]")
+    if getattr(args, "workers", 1) < 1:
         raise ValueError("worker count must be positive")
-    if cfg.n is not None:
-        cfg.field_spec()  # validates the modulus/degree combination
-    return cfg
+    if n is not None:  # checks the modulus against the degree
+        field_for(n, getattr(args, "modulus", None))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config = _run_config(args)
+        _check_settings(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

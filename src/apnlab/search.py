@@ -263,6 +263,11 @@ def _scan_worker(args) -> tuple[int, list[int]]:
     return _CubeKernel(FieldSpec(*spec_fields)).scan(lo, hi, cap)
 
 
+# Below this degree a whole exhaustive scan takes at most ~0.1 s, less than
+# starting a process pool, so `workers` only splits the range in-process.
+_POOL_MIN_DEGREE = 7
+
+
 class VerificationError(RuntimeError):
     """A fast path disagrees with the direct check it is verified by."""
 
@@ -278,9 +283,10 @@ def search_tr_l(spec: FieldSpec,
     """Count linear maps L with L(e_0) = 0 making x^3 + Tr(x)L(x) APN.
 
     Exhaustive mode scans the whole 2^(n(n-1)) space (degree >= 6 needs
-    long_ok), splitting the top digit's range across `workers`; random
-    mode draws `samples` seeded indices.  Hits are spot-checked against
-    the direct APN test (all hits for degree <= 5, 1 in 100 above).
+    long_ok), splitting the top digit's range across `workers`, which run
+    as processes from degree 7 on; random mode draws `samples` seeded
+    indices.  Hits are spot-checked against the direct APN test (all hits
+    for degree <= 5, 1 in 100 above).
     """
     if cap < 0:
         raise ValueError(f"cap {cap} must be non-negative")
@@ -296,7 +302,7 @@ def search_tr_l(spec: FieldSpec,
             )
         bounds = [(spec.size * w) // workers for w in range(workers + 1)]
         ranges = list(zip(bounds, bounds[1:]))
-        if workers > 1:
+        if workers > 1 and spec.n >= _POOL_MIN_DEGREE:
             args = [((spec.n, spec.modulus, spec.generator), lo, hi, cap)
                     for lo, hi in ranges]
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -229,6 +229,22 @@ class TestSearch:
             reports.append(d)
         assert reports[0] == reports[1]
 
+    def test_small_search_runs_without_a_pool(self, capsys, monkeypatch):
+        import apnlab.search
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started for a degree-5 scan")
+
+        monkeypatch.setattr(apnlab.search, "ProcessPoolExecutor", no_pool)
+        reports = []
+        for workers in ("1", "2"):
+            code, out, _ = _run(capsys, "search", "--n", "5", "--workers", workers)
+            assert code == 0
+            d = json.loads(out)
+            assert d.pop("workers") == int(workers)
+            reports.append(d)
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("bad", [
         ["--mode", "random", "--seed", "1", "--samples", "-5"],
         ["--cap", "-1"],
@@ -335,3 +351,39 @@ class TestUsage:
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 is not irreducible
         code = main(["search", "--n", "4", "--modulus", "15"])
         assert code == 2
+
+
+class TestParserReuse:
+    def test_cached_parser_repeats_fresh_parser_results(self, tmp_path, capsys):
+        from apnlab.cli import build_parser
+
+        spec = field_for(6)
+        f = _write_vbf(tmp_path, "c.vbf1", power_function(spec, 3))
+        lp = tmp_path / "L.lin1"
+        with open(lp, "w") as fh:
+            write_lin1(fh, table1_maps(spec)[3])
+        calls = [
+            ["analyze", f],
+            ["search", "--n", "3"],
+            ["construct", "hmod", "--n", "6", "--map", str(lp),
+             "--out", str(tmp_path / "g.vbf1")],
+            ["search", "--n", "3", "--bogus"],
+            ["rank", f],
+            ["analyze", f],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            return code, capsys.readouterr().out
+
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert fresh[3][0] == 2 and fresh[0] == fresh[5]
+        build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == fresh
+        assert build_parser() is build_parser()

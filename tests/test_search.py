@@ -200,6 +200,15 @@ def test_degree6_exhaustive_count():
     assert rep.examined == 1 << 30
 
 
+@pytest.mark.long
+def test_degree7_exhaustive_count_on_two_processes():
+    """From degree 7 on, `workers` > 1 scans in a process pool; the merged
+    report is the x^3 count at n = 7, hits in index order."""
+    rep = search_tr_l(field_for(7), workers=2, cap=500, long_ok=True)
+    assert rep.hits == 128 and rep.workers == 2
+    assert list(rep.hit_list) == sorted(rep.hit_list) and len(rep.hit_list) == 128
+
+
 class TestCrossChecks:
     def test_th31_exhaustive_n4(self):
         rep = th31_crosscheck(field_for(4))

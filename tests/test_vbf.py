@@ -250,3 +250,125 @@ class TestProjectionCriterion:
         for k in range(1, 1 << 7):
             P = projection_killing(7, k)
             assert project_is_apn(F, P) == (k in missing)
+
+
+def _trace_pairing_spectrum(F):
+    """Counter of W(a, b) over all a, b != 0 under <u, v> = Tr(uv), with
+    the products and traces tabulated from the field's own arithmetic."""
+    from collections import Counter
+
+    spec = F.spec
+    tp = [[spec.trace_absolute(spec.mul(u, v)) for v in range(spec.size)]
+          for u in range(spec.size)]
+    c = Counter()
+    for b in range(1, spec.size):
+        yb = [tp[b][y] for y in F.table]
+        for a in range(spec.size):
+            ta = tp[a]
+            c[sum(1 - 2 * (ta[x] ^ yb[x]) for x in range(spec.size))] += 1
+    return c
+
+
+def _flat_in_last_direction(n, m):
+    """A seeded (n, m) table with a count of 4 in the last direction
+    a = 2^n - 1: x^3 with m - n random extra output bits, then F(x1 + a)
+    moved so that F sums to 0 on the flat {x1, x1 + a, x2, x2 + a}.
+    DDT entries off a = 0 are even, and that flat puts the same 4 in the
+    directions d = x1 + x2 and d + a, so no table has its only excess in
+    direction a.  Here d = 2^(n-1) + 1, so the excess directions are
+    2^(n-1) - 2, 2^(n-1) + 1 and 2^n - 1, none of them the first of a
+    block.  Returns the table and its set of excess directions."""
+    cube = power_function(field_for(n), 3).table
+    a, d = (1 << n) - 1, (1 << (n - 1)) + 1
+    for seed in range(500):
+        rng = random.Random(seed)
+        T = [(v << (m - n)) | rng.randrange(1 << (m - n)) for v in cube]
+        x1 = rng.randrange(1 << n)
+        x2 = x1 ^ d
+        T[x1 ^ a] = T[x1] ^ T[x2] ^ T[x2 ^ a]
+        ddt = oracle_ddt(T, n, m)
+        excess = {b for b in range(1, 1 << n) if max(ddt[b]) > 2}
+        if excess == {a, d, d ^ a}:
+            return VBF(n, m, tuple(T)), excess
+    raise AssertionError("no seed confined the excess to the planted flat")
+
+
+class TestWholeTableKernels:
+    """The blocked derivative counts and the graph-indicator Walsh
+    transform against the definitions in _oracles."""
+
+    CASES = [(1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (3, 1), (4, 6),
+             (5, 5), (5, 2), (6, 4), (6, 7), (7, 5), (7, 7)]
+
+    @pytest.mark.parametrize("n,m", CASES)
+    def test_ddt_uniformity_apn_match_oracle(self, n, m):
+        F = _random_function(n, m, 1000 * n + m)
+        prof = F.ddt()
+        assert prof.ddt.tolist() == oracle_ddt(F.table, n, m)
+        assert prof.uniformity == oracle_uniformity(F.table, n, m)
+        a, b = prof.witness
+        assert a != 0 and prof.ddt[a, b] == prof.uniformity
+        assert F.uniformity() == prof.uniformity
+        assert F.is_apn() == oracle_is_apn(F.table, n, m)
+
+    @pytest.mark.parametrize("n,m", [c for c in CASES if c[0] + c[1] <= 13])
+    def test_walsh_spectrum_matches_oracle(self, n, m):
+        from collections import Counter
+
+        F = _random_function(n, m, 1000 * n + m)
+        expect = Counter(oracle_walsh(F.table, n, m, a, b)
+                         for a in range(1 << n) for b in range(1, 1 << m))
+        assert F.walsh_spectrum().counter() == expect
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_bound_field_kernels_match_oracle(self, n):
+        spec = field_for(n)
+        for F in (_random_function(n, n, 77 + n), inverse_function(spec),
+                  power_function(spec, 3)):
+            F = VBF(n, n, F.table, spec=spec)
+            assert F.ddt().ddt.tolist() == oracle_ddt(F.table, n, n)
+            assert F.uniformity() == oracle_uniformity(F.table, n, n)
+            assert F.is_apn() == oracle_is_apn(F.table, n, n)
+            assert F.walsh_spectrum().counter() == _trace_pairing_spectrum(F)
+
+    def test_apn_tables(self):
+        from apnlab.constructions import table1_functions
+
+        funcs = [power_function(field_for(n), 3) for n in range(2, 9)]
+        funcs += table1_functions(field_for(6))
+        for F in funcs:
+            assert F.is_apn() and oracle_is_apn(F.table, F.n, F.m)
+            assert F.uniformity() == 2
+        for F in funcs[-13:]:
+            assert F.ddt().ddt.tolist() == oracle_ddt(F.table, 6, 6)
+
+    @pytest.mark.parametrize("n,m", [(6, 10), (7, 11)])
+    def test_count_of_four_in_last_direction(self, n, m):
+        F, excess = _flat_in_last_direction(n, m)
+        assert not F.is_apn()
+        prof = F.ddt()
+        assert prof.uniformity == 4 and prof.witness[0] == min(excess)
+        assert prof.ddt.tolist() == oracle_ddt(F.table, n, m)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (5, 5), (6, 10), (7, 7), (8, 3)])
+    @pytest.mark.parametrize("first", [1, 3, 1 << 14])
+    def test_blocks_cover_every_direction_once(self, n, m, first):
+        from apnlab.vbf import _derivative_counts
+
+        F = _random_function(n, m, n * m + first)
+        rows = []
+        for a0, c in _derivative_counts(F.as_array(), n, m, first):
+            assert a0 == 1 + len(rows)
+            rows.extend(c.tolist())
+        assert rows == oracle_ddt(F.table, n, m)[1:]
+
+    def test_is_apn_matches_batch_at_n6(self):
+        from apnlab.constructions import table1_functions
+
+        rng = random.Random(11)
+        tables = [G.table for G in table1_functions(field_for(6))]
+        tables += [inverse_function(field_for(6)).table,
+                   power_function(field_for(6), 5).table]
+        tables += [tuple(rng.randrange(64) for _ in range(64)) for _ in range(30)]
+        mask = is_apn_batch(np.array(tables, dtype=np.int64), 6)
+        assert [VBF(6, 6, t).is_apn() for t in tables] == mask.tolist()
