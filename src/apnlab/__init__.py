@@ -40,6 +40,7 @@ from .constructions import (
     table1_functions,
     table1_maps,
     th31_criterion,
+    th31_witness,
 )
 from .invariants import (
     DistinguishResult,
@@ -75,7 +76,7 @@ __all__ = [
     "exp_sum_condition", "h_equivalence_witness", "hyperplane_modify",
     "inverse_extension", "nyberg_root_count", "nyberg_roots",
     "quadratic_concat_criterion", "switch", "table1_functions", "table1_maps",
-    "th31_criterion",
+    "th31_criterion", "th31_witness",
     "DistinguishResult", "InvariantBundle", "classical_spectrum",
     "distinguish", "gamma_rank", "invariant_bundle", "is_classical",
     "CosetConstantReport", "SearchReport", "SplitMix64", "VerificationError",

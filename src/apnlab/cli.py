@@ -28,6 +28,7 @@ from .constructions import (
     switch,
     table1_functions,
     th31_criterion,
+    th31_witness,
 )
 from .field import FieldSpec, field_for
 from .invariants import (
@@ -99,7 +100,7 @@ def cmd_analyze(args, out=None) -> int:
     ws = F.walsh_spectrum()
     hist = ", ".join(f"{v}:{c}" for v, c in ws.values)
     print(f"walsh histogram: {hist}", file=out)
-    if F.n == F.m and F.n % 2 == 0 and apn:
+    if F.n == F.m and F.n % 2 == 0 and F.n >= 4 and apn:
         classical = ws.magnitudes() == classical_spectrum(F.n).magnitudes()
         verdict = "classical" if classical else "non-classical"
         print(f"spectrum: {verdict}", file=out)
@@ -117,14 +118,16 @@ def _verify_table1(args, out) -> int:
         ck.check(f"G_{i} APN and quadratic", G.is_apn() and G.is_quadratic())
     for i, G in enumerate(funcs, start=1):
         ws = G.walsh_spectrum()
+        rank = f"Gamma-rank {gamma_rank(G)}"
         if i == 7:
             ck.check(
                 "G_7 non-classical with value set {0, +/-8, +/-16, +/-32}",
                 ws.magnitudes() != classical
                 and ws.value_set() == {0, 8, -8, 16, -16, 32, -32},
+                rank,
             )
         else:
-            ck.check(f"G_{i} spectrum classical", ws.magnitudes() == classical)
+            ck.check(f"G_{i} spectrum classical", ws.magnitudes() == classical, rank)
     return ck.exit_code()
 
 
@@ -246,17 +249,10 @@ def _construct_dispatch(args, out) -> int:
             L = read_lin1(fh, spec)
         G = hyperplane_modify(F, L)
         holds = th31_criterion(F, L)
-        witness = None
-        if not holds:
-            e0 = spec.trace_one_element()
-            for a in spec.trace_zero_elements():
-                for x in spec.trace_zero_elements():
-                    if x and L(x) ^ F.bform(x, a ^ e0) == 0:
-                        witness = {"a": spec.format_element(a, args.style),
-                                   "x": spec.format_element(x, args.style)}
-                        break
-                if witness:
-                    break
+        hit = None if holds else th31_witness(F, L, checked=True)
+        witness = None if hit is None else {
+            "a": spec.format_element(hit[0], args.style),
+            "x": spec.format_element(hit[1], args.style)}
         cert = {"kind": "hmod",
                 "params": {"n": args.n, "map": args.map},
                 "criterion": "trace-hyperplane kernel criterion",

@@ -15,7 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .field import FieldSpec
-from .vbf import VBF, AffineMap, LinearMap, inverse_function, power_function
+from .vbf import (
+    VBF, AffineMap, LinearMap, _insert, _xor_span, inverse_function, power_function,
+)
 
 
 # -- (f, g) pairs in F_2^m (+) F_2 ----------------------------------------
@@ -71,21 +73,9 @@ class Decomposition:
     uniformity: int
 
 
-def _first_odd_g_quadruple(f: VBF, g: VBF) -> Optional[tuple[int, int]]:
-    """First (in t-outer, x<y order) four-sum with odd g-part; returns
-    (f_sum, g_sum_t) or None."""
-    size = 1 << f.n
-    Tf, Tg = f.table, g.table
-    for t in range(1, size):
-        fd = [Tf[x ^ t] ^ Tf[x] for x in range(size)]
-        gd = [Tg[x ^ t] ^ Tg[x] for x in range(size)]
-        for x in range(size):
-            for y in range(x + 1, size):
-                if y == x ^ t:
-                    continue
-                if gd[x] ^ gd[y]:
-                    return fd[x] ^ fd[y], t
-    return None
+def _first_odd_sum(f: VBF, g: VBF) -> Optional[int]:
+    """The smallest f-sum over a 2-flat whose g-sum is 1, or None."""
+    return min((v >> 1 for v in pair_lift(f, g).dstar_set() if v & 1), default=None)
 
 
 def decompose_to_4uniform(f: VBF, g: Optional[VBF] = None) -> Decomposition:
@@ -93,8 +83,10 @@ def decompose_to_4uniform(f: VBF, g: Optional[VBF] = None) -> Decomposition:
     4-uniform, following the switching decomposition.
 
     When g is omitted, tries g(x) = Tr(c * f(x)) for c = 1, 2, ... and uses
-    the first choice admitting a quadruple with odd g-sum.  A supplied g
-    whose four-sums are all even is rejected.
+    the first choice admitting a 2-flat with odd g-sum.  A supplied g whose
+    four-sums are all even is rejected.  u is the smallest v with (v, 1) in
+    D* of the pair (f, g), the f-sum of some 2-flat with odd g-sum; any
+    such u gives f_1 uniformity 4.
     """
     if f.n != f.m:
         raise ValueError("decomposition is defined for (n, n)-functions")
@@ -105,21 +97,16 @@ def decompose_to_4uniform(f: VBF, g: Optional[VBF] = None) -> Decomposition:
             raise ValueError("a bound field is needed to enumerate trace coordinates")
         spec = f.spec
         for c in range(1, spec.size):
-            cand = VBF(f.n, 1, tuple(spec.trace_absolute(spec.mul(c, v)) for v in f.table))
-            hit = _first_odd_g_quadruple(f, cand)
-            if hit is not None:
-                g = cand
-                u = hit[0]
+            g = VBF(f.n, 1, tuple(spec.trace_absolute(spec.mul(c, v)) for v in f.table))
+            u = _first_odd_sum(f, g)
+            if u is not None:
                 break
         else:  # pragma: no cover - impossible for APN f by Dillon's observation
             raise ValueError("no trace coordinate admits an odd four-sum")
     else:
-        if g.m != 1 or g.n != f.n:
-            raise ValueError("g must be a Boolean function on the same domain")
-        hit = _first_odd_g_quadruple(f, g)
-        if hit is None:
+        u = _first_odd_sum(f, g)
+        if u is None:
             raise ValueError("all four-sums of g are even; supply another g")
-        u = hit[0]
     f1 = VBF(f.n, f.m, tuple(fv ^ (u if gv else 0) for fv, gv in zip(f.table, g.table)),
              spec=f.spec)
     delta = f1.uniformity()
@@ -252,10 +239,11 @@ def check_quadratic_apn(F: VBF) -> None:
         raise ValueError("F must be APN")
 
 
-def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
-                   checked: bool = False) -> bool:
-    """F + Tr*L is APN iff x -> L(x) + B_F(x, a + e_0) has trivial kernel
-    on the trace-zero hyperplane for every trace-zero a; F quadratic APN.
+def th31_witness(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
+                 checked: bool = False) -> Optional[tuple[int, int]]:
+    """The first (a, x), a and x != 0 on the trace-zero hyperplane, with
+    L(x) = B_F(x, a + e_0), in increasing order of a then x; None when the
+    kernel criterion holds.  F quadratic APN.
 
     `checked=True` skips `check_quadratic_apn(F)`, for callers that ran it
     once for many maps L."""
@@ -272,8 +260,16 @@ def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
         ae = a ^ e0
         for lx, x in zip(Ltab, t0):
             if x and lx ^ F.bform(x, ae) == 0:
-                return False
-    return True
+                return a, x
+    return None
+
+
+def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
+                   checked: bool = False) -> bool:
+    """F + Tr*L is APN iff x -> L(x) + B_F(x, a + e_0) has trivial kernel
+    on the trace-zero hyperplane for every trace-zero a; F quadratic APN.
+    The failing (a, x) come from `th31_witness`."""
+    return th31_witness(F, L, e0, checked=checked) is None
 
 
 def exp_sum_condition(L: LinearMap, spec: FieldSpec) -> tuple[int, bool]:
@@ -328,36 +324,6 @@ class HyperplaneSpec:
         return [x for x in range(1 << self.n) if not self.contains(x)]
 
 
-class _Span:
-    """Incremental GF(2) span with attached values, for solving M(x)."""
-
-    def __init__(self):
-        self.rows: dict[int, tuple[int, int]] = {}  # leading bit -> (vec, val)
-
-    def add(self, vec: int, val: int) -> None:
-        while vec:
-            b = vec.bit_length() - 1
-            if b in self.rows:
-                v2, w2 = self.rows[b]
-                vec ^= v2
-                val ^= w2
-            else:
-                self.rows[b] = (vec, val)
-                return
-        # vec in span already; caller guarantees consistency
-
-    def eval(self, x: int) -> int:
-        val = 0
-        while x:
-            b = x.bit_length() - 1
-            if b not in self.rows:
-                raise KeyError("vector outside span")
-            v2, w2 = self.rows[b]
-            x ^= v2
-            val ^= w2
-        return val
-
-
 def h_equivalence_witness(F: VBF, G: VBF, h: HyperplaneSpec) -> Optional[AffineMap]:
     """Affine map A with G = F on h and G = F + A off h, if one exists."""
     if (F.n, F.m) != (G.n, G.m) or h.n != F.n:
@@ -366,30 +332,18 @@ def h_equivalence_witness(F: VBF, G: VBF, h: HyperplaneSpec) -> Optional[AffineM
     if any(diff[x] for x in h.members()):
         return None
     direction = HyperplaneSpec(h.n, h.a, 0).members()  # the linear hyperplane
-    comp = h.complement()
-    e = min(comp)
-    # fit the linear part on a basis of the direction space, extend by M(e)=0
-    span = _Span()
-    basis = []
-    rank = 0
-    for u in direction:
-        if u == 0:
-            continue
-        before = len(span.rows)
-        span.add(u, diff[e ^ u] ^ diff[e])
-        if len(span.rows) > before:
-            basis.append(u)
-            rank += 1
-        if rank == F.n - 1:
-            break
-    span.add(e, 0)
+    e = min(h.complement())
     const = diff[e]
-    # verify pointwise on the complement coset
-    for u in direction:
-        if diff[e ^ u] != span.eval(u) ^ const:
-            return None
-    images = tuple(span.eval(1 << i) for i in range(F.n))
-    return AffineMap(LinearMap(F.n, F.m, images), const)
+    # fit the linear part M on a greedy basis of the direction space and
+    # M(e) = 0, then verify pointwise on the complement coset
+    pivots: list = [None] * F.n
+    basis = [u for u in direction if _insert(pivots, u)]
+    M = np.empty(1 << F.n, dtype=np.int64)
+    M[_xor_span(basis + [e])] = _xor_span([diff[e ^ u] ^ const for u in basis] + [0])
+    M = M.tolist()
+    if any(diff[e ^ u] != M[u] ^ const for u in direction):
+        return None
+    return AffineMap(LinearMap(F.n, F.m, tuple(M[1 << i] for i in range(F.n))), const)
 
 
 # -- the thirteen dimension-6 representatives -----------------------------

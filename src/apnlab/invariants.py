@@ -7,32 +7,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .vbf import VBF, WalshSpectrum
+from .vbf import VBF, WalshSpectrum, _insert, gf2_rank  # noqa: F401 (gf2_rank re-exported)
 
 MAX_RANK_SIDE_BITS = 16  # incidence matrix side 2^(n+m)
-
-
-def _insert(pivots: list, row: int) -> int:
-    """Reduce `row` by the table of rows keyed by their top bit; store and
-    return the remainder if it is nonzero.  Returns 0 when `row` is in the
-    span already."""
-    while row:
-        b = row.bit_length() - 1
-        p = pivots[b]
-        if p is None:
-            pivots[b] = row
-            return row
-        row ^= p
-    return 0
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of rows given as bitmask ints."""
-    rows = list(rows)
-    pivots: list = [None] * max((r.bit_length() for r in rows), default=0)
-    return sum(1 for r in rows if _insert(pivots, r))
 
 
 def gamma_rank(F: VBF) -> int:
@@ -72,9 +51,9 @@ def gamma_rank(F: VBF) -> int:
 
 
 def classical_spectrum(n: int) -> WalshSpectrum:
-    """The classical Walsh spectrum of an APN function for even n."""
-    if n % 2 != 0:
-        raise ValueError("the closed form requires even dimension")
+    """The classical Walsh spectrum of an APN function for even n >= 4."""
+    if n % 2 != 0 or n < 4:
+        raise ValueError(f"the closed form requires even dimension n >= 4, got {n}")
     q = 1 << n
     counts: Counter = Counter()
     counts[0] = (q // 4) * (q - 1)

@@ -41,7 +41,7 @@ from .constructions import (
     th31_criterion,
 )
 from .field import FieldSpec
-from .vbf import VBF, LinearMap, power_function
+from .vbf import VBF, LinearMap, _insert, _xor_span, power_function
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -110,37 +110,12 @@ class SearchReport:
 
 def t0_basis(spec: FieldSpec) -> list[int]:
     """Greedy smallest-encoding basis of the trace-zero hyperplane."""
-    basis: list[int] = []
-    pivots: dict[int, int] = {}
-    for x in range(1, spec.size):
-        if spec.trace_absolute(x):
-            continue
-        v = x
-        while v:
-            b = v.bit_length() - 1
-            if b in pivots:
-                v ^= pivots[b]
-            else:
-                pivots[b] = v
-                basis.append(x)
-                break
-        if len(basis) == spec.n - 1:
-            break
-    return basis
+    pivots: list = [None] * spec.n
+    return [x for x in spec.trace_zero_elements() if _insert(pivots, x)]
 
 
 def map_space_size(spec: FieldSpec) -> int:
     return 1 << (spec.n * (spec.n - 1))
-
-
-def _xor_span(gens, lead: tuple = (), dtype=np.int64) -> np.ndarray:
-    """out[..., c] = XOR of gens[i] over the set bits i of c, built by
-    doubling; each generator may carry leading batch axes `lead`."""
-    out = np.zeros(lead + (1 << len(gens),), dtype=dtype)
-    for i, g in enumerate(gens):
-        g = np.asarray(g, dtype=dtype)[..., None]
-        out[..., 1 << i:2 << i] = out[..., :1 << i] ^ g
-    return out
 
 
 def linear_map_from_index(spec: FieldSpec, index: int,

@@ -1,13 +1,18 @@
 """(n,m)-functions as full lookup tables, plus their differential and
 spectral analysis: DDT and the APN test, Walsh spectra, algebraic degree,
-the symmetric form B_F, the four-sum value sets D_F / D_F*, and linear
+the symmetric form B_F, the four-sum value set D_F*, and linear
 projections with the kernel-intersection APN criterion.
+
+Two numpy kernels carry the whole-table work: `_derivative_counts` yields
+blocks of DDT rows, and `_wht_rows` is a Walsh-Hadamard transform.  The
+APN test, the DDT and D_F* are built on the first; the Walsh spectrum and
+D_F* on the second.  The GF(2) helpers `_insert`, `gf2_rank` and
+`_xor_span` serve the other modules too.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -82,16 +87,7 @@ class LinearMap:
         return [x for x in range(1 << self.n_in) if self(x) == 0]
 
     def image_rank(self) -> int:
-        pivots: dict[int, int] = {}
-        for v in self.images:
-            while v:
-                b = v.bit_length() - 1
-                if b in pivots:
-                    v ^= pivots[b]
-                else:
-                    pivots[b] = v
-                    break
-        return len(pivots)
+        return gf2_rank(self.images)
 
     def is_injective(self) -> bool:
         return self.image_rank() == self.n_in
@@ -308,13 +304,31 @@ class VBF:
         """Degree at most 2; affine functions count as degenerate quadratics."""
         return self.algebraic_degree() <= 2
 
-    # -- four-sum value sets ----------------------------------------------
+    # -- four-sum value set ----------------------------------------------
 
     def dstar_set(self) -> frozenset[int]:
-        return _dstar_set(self)
+        """D_F* = {F(x) + F(x+t) + F(y) + F(y+t)} over the 2-flats
+        {x, x+t, y, y+t} (four distinct points), for any F.
 
-    def d_set(self) -> frozenset[int]:
-        return _d_set(self)
+        With C_a the DDT row of a direction a != 0, the XOR-autocorrelation
+        (C_a * C_a)(v) counts the pairs (x, y) with D_aF(x) + D_aF(y) = v.
+        The pairs with y in {x, x+a} add 2^(n+1) at v = 0 and nothing
+        elsewhere, so v is in D_F* iff
+        sum_a (C_a * C_a)(v) - [v = 0] 2^(n+1) (2^n - 1) > 0.  The sum is
+        one Walsh-Hadamard transform of each block of rows, squared and
+        summed over a, then one inverse transform of length 2^m.  Its int64
+        totals are at most 2^(3n+m), exact while 3n + m <= 62; larger
+        shapes raise ValueError.
+        """
+        n, m = self.n, self.m
+        if 3 * n + m > 62:
+            raise ValueError(f"D* totals need 3n + m <= 62 bits, got {3 * n + m}")
+        power = np.zeros(1 << m, dtype=np.int64)
+        for _, c in _derivative_counts(self.as_array(), n, m, _BLOCK):
+            power += (_wht_rows(np.ascontiguousarray(c.T)) ** 2).sum(axis=1)
+        auto = _wht_rows(power[:, None])[:, 0] >> m
+        auto[0] -= ((1 << n) - 1) << (n + 1)
+        return frozenset(np.flatnonzero(auto > 0).tolist())
 
 
 # A block of derivatives gathers at most about this many values; larger
@@ -354,40 +368,35 @@ def _wht_rows(v: np.ndarray) -> np.ndarray:
     return v.reshape(size, cols)
 
 
-@lru_cache(maxsize=64)
-def _dstar_set(F: VBF) -> frozenset[int]:
-    """Exact D_F* by triple enumeration; early exit on saturation."""
-    size = 1 << F.n
-    full = 1 << F.m
-    T = F.as_array()
-    xs = np.arange(size)
-    seen: set[int] = set()
-    for t in range(1, size):
-        bt = T[xs ^ t] ^ T  # bform(x, t) up to the constant, which cancels
-        grid = bt[:, None] ^ bt[None, :]
-        mask = np.ones((size, size), dtype=bool)
-        mask[xs, xs] = False           # x != y
-        mask[xs, xs ^ t] = False       # x != y + t
-        seen.update(np.unique(grid[mask]).tolist())
-        if len(seen) >= full:
-            break
-    return frozenset(int(v) for v in seen)
+def _insert(pivots: list, row: int) -> int:
+    """Reduce `row` by the table of rows keyed by their top bit; store and
+    return the remainder if it is nonzero.  Returns 0 when `row` is in the
+    span already."""
+    while row:
+        b = row.bit_length() - 1
+        p = pivots[b]
+        if p is None:
+            pivots[b] = row
+            return row
+        row ^= p
+    return 0
 
 
-@lru_cache(maxsize=64)
-def _d_set(F: VBF) -> frozenset[int]:
-    size = 1 << F.n
-    full = 1 << F.m
-    seen: set[int] = set()
-    xs = np.arange(size)
-    T = F.as_array()
-    for t in range(size):
-        bt = T[xs ^ t] ^ T ^ T[t] ^ T[0]
-        grid = bt[:, None] ^ bt[None, :]
-        seen.update(np.unique(grid).tolist())
-        if len(seen) >= full:
-            break
-    return frozenset(int(v) for v in seen)
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as bitmask ints."""
+    rows = list(rows)
+    pivots: list = [None] * max((r.bit_length() for r in rows), default=0)
+    return sum(1 for r in rows if _insert(pivots, r))
+
+
+def _xor_span(gens, lead: tuple = (), dtype=np.int64) -> np.ndarray:
+    """out[..., c] = XOR of gens[i] over the set bits i of c, built by
+    doubling; each generator may carry leading batch axes `lead`."""
+    out = np.zeros(lead + (1 << len(gens),), dtype=dtype)
+    for i, g in enumerate(gens):
+        g = np.asarray(g, dtype=dtype)[..., None]
+        out[..., 1 << i:2 << i] = out[..., :1 << i] ^ g
+    return out
 
 
 # -- constructors ---------------------------------------------------------
@@ -433,27 +442,14 @@ def project(F: VBF, pi: LinearMap) -> VBF:
 
 
 def project_is_apn(F: VBF, pi: LinearMap) -> bool:
-    """APN-ness of pi o F via D_F* meeting ker(pi), without the projected
-    DDT; valid when F itself is APN."""
+    """APN-ness of pi o F without the projected DDT: pi o F is APN iff no
+    F-sum over a 2-flat lies in ker(pi).  ker(pi) holds 0, and 0 is in
+    D_F* iff F is not APN, so this holds for any F."""
     if pi.n_in != F.m:
         raise ValueError("projection domain does not match output dimension")
     if not pi.is_surjective():
         raise ValueError("projection must be surjective")
-    kernel = {x for x in pi.kernel() if x}
-    if not kernel:
-        return True
-    size = 1 << F.n
-    T = F.table
-    for t in range(1, size):
-        bt = [T[x ^ t] ^ T[x] for x in range(size)]
-        for x in range(size):
-            bx = bt[x]
-            for y in range(x + 1, size):
-                if y == x ^ t:
-                    continue
-                if bx ^ bt[y] in kernel:
-                    return False
-    return True
+    return F.dstar_set().isdisjoint(pi.kernel())
 
 
 # -- batch helpers for searches -------------------------------------------

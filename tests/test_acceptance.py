@@ -69,7 +69,7 @@ def test_03_exhaustive_hit_counts_448_and_4608():
     r5 = search_tr_l(field_for(5), workers=4)
     dt5 = time.monotonic() - t5
     ok = r4.hits == 448 and r5.hits == 4608 and dt4 < 60 and dt5 < 60
-    _report("3 (exhaustive counts 448 at n=4, 4608 at n=5, 4 workers)",
+    _report("3 (exhaustive counts 448 at n=4, 4608 at n=5, 4 in-process ranges)",
             ok, f"{r4.hits}/{r5.hits} hits, {dt4:.1f}s/{dt5:.1f}s < 60s")
 
 

@@ -72,6 +72,17 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "non-negative" in err
 
+    @pytest.mark.parametrize("text", ["2 2\n0 1 1 1\n", "0 0\n0\n"],
+                             ids=["cube-n2", "zero-inputs"])
+    def test_small_apn_tables_have_no_spectrum_line(self, tmp_path, capsys, text):
+        # x^3 over F_4 and the 0-input table are APN, below the n >= 4 of
+        # the classical closed form
+        p = tmp_path / "s.vbf1"
+        p.write_text(text)
+        code, out, err = _run(capsys, "analyze", str(p))
+        assert code == 0 and err == ""
+        assert "APN: true" in out and "spectrum:" not in out
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = _run(capsys, "analyze", "/nonexistent/x.vbf1")
         assert code == 2
@@ -79,9 +90,16 @@ class TestAnalyze:
 
 class TestVerify:
     def test_table1_passes(self, capsys):
+        from test_invariants import TABLE1_RANKS
+
         code, out, _ = _run(capsys, "verify", "table1")
         assert code == 0
         assert out.count("[PASS]") == 26 and "[FAIL]" not in out
+        spectra = out.splitlines()[13:]
+        assert [int(line.split("Gamma-rank ")[1].rstrip(")"))
+                for line in spectra] == TABLE1_RANKS
+        assert [line.split()[1] for line in spectra
+                if "non-classical" in line] == ["G_7"]
 
     def test_nyberg_passes(self, capsys):
         code, out, _ = _run(capsys, "verify", "nyberg")

@@ -27,6 +27,7 @@ from apnlab.constructions import (
     table1_functions,
     table1_maps,
     th31_criterion,
+    th31_witness,
 )
 from apnlab.field import field_for
 from apnlab.vbf import VBF, LinearMap, inverse_function, power_function
@@ -94,6 +95,21 @@ class TestDecomposition:
         rebuilt = tuple(
             v ^ (d.u if gb else 0) for v, gb in zip(d.f1.table, d.g.table))
         assert rebuilt == f.table
+
+    def test_direction_is_the_smallest_odd_four_sum(self):
+        # brute force over the 2-flats {x, y, z, x+y+z}; every f-sum with odd
+        # g-sum is a valid direction, and the smallest one is chosen
+        f = power_function(field_for(4), 3)
+        d = decompose_to_4uniform(f)
+        T, g = f.table, d.g.table
+        odd = {T[x] ^ T[y] ^ T[z] ^ T[x ^ y ^ z]
+               for x in range(16) for y in range(16) for z in range(16)
+               if len({x, y, z, x ^ y ^ z}) == 4
+               and g[x] ^ g[y] ^ g[z] ^ g[x ^ y ^ z]}
+        assert d.u == min(odd)
+        for u in odd:
+            f1 = VBF(4, 4, tuple(v ^ (u if gb else 0) for v, gb in zip(T, g)))
+            assert f1.uniformity() == 4
 
     def test_linear_g_is_rejected(self):
         # a linear g has no odd quadruple, so no valid direction u exists
@@ -229,6 +245,19 @@ class TestHyperplaneModification:
             assert verdict == hyperplane_modify(cube, L).is_apn()
             seen[verdict] += 1
         assert seen[True] and seen[False]
+
+    def test_witness_is_the_first_kernel_violation(self):
+        spec = field_for(4)
+        cube = power_function(spec, 3)
+        e0 = spec.trace_one_element()
+        t0 = spec.trace_zero_elements()
+        rng = random.Random(12)
+        for _ in range(60):
+            L = LinearMap.from_linearized(spec, [rng.randrange(16) for _ in range(4)])
+            found = [(a, x) for a in t0 for x in t0
+                     if x and L(x) == cube.bform(x, a ^ e0)]
+            assert th31_witness(cube, L) == (found[0] if found else None)
+            assert th31_criterion(cube, L) == (not found)
 
     def test_exp_sum_zero_map_values(self):
         for n in (4, 5, 6):

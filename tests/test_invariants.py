@@ -114,6 +114,11 @@ class TestClassicalSpectrum:
         with pytest.raises(ValueError):
             classical_spectrum(5)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_dimension_below_four_rejected(self, n):
+        with pytest.raises(ValueError, match="n >= 4"):
+            classical_spectrum(n)
+
 
 class TestDistinguish:
     def test_function_vs_itself_is_undetermined(self):

@@ -189,8 +189,8 @@ class TestTrLSearch:
 
 @pytest.mark.long
 def test_degree6_exhaustive_count():
-    """Full 2^30 scan at n=6 split across 4 worker processes (about 0.1 s
-    of CPU on one process, as the default-suite count above shows).
+    """Full 2^30 scan at n=6 split into 4 worker ranges, scanned in-process
+    below n = 7 (about 0.1 s, as the default-suite count above shows).
 
     The count is this artifact's own derived ground truth; 1% of hits are
     re-verified against the direct APN test inside the search.

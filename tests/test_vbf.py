@@ -120,16 +120,17 @@ class TestFourSums:
     def test_dillon_property_at_small_degrees(self):
         # For an APN function on the whole field the four-sum value set
         # misses exactly 0.
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 7, 8):
             F = power_function(field_for(n), 3)
             assert F.dstar_set() == frozenset(range(1, 1 << n))
 
     def test_d_set_contains_zero_exactly_for_non_apn(self):
-        f = field_for(4)
-        cube = power_function(f, 3)
-        assert 0 not in cube.dstar_set()
-        inv = inverse_function(f)
-        assert 0 in inv.dstar_set()  # delta = 4 at even degree
+        for n in (4, 6, 8):
+            f = field_for(n)
+            cube = power_function(f, 3)
+            assert 0 not in cube.dstar_set()
+            inv = inverse_function(f)
+            assert 0 in inv.dstar_set()  # delta = 4 at even degree
 
     @pytest.mark.parametrize("seed", range(2))
     def test_four_sum_oracle_agreement(self, seed):
@@ -137,6 +138,27 @@ class TestFourSums:
 
         F = _random_function(4, 4, seed)
         assert set(F.dstar_set()) == oracle_four_sum_values(F.table, 4)
+
+    def test_oracle_agreement_on_random_shapes(self):
+        from _oracles import oracle_four_sum_values
+
+        rng = random.Random(23)
+        shapes = [(0, 1), (1, 3), (2, 2), (3, 5), (5, 1), (5, 4)]
+        shapes += [(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(14)]
+        for i, (n, m) in enumerate(shapes):
+            F = _random_function(n, m, 100 + i)
+            assert set(F.dstar_set()) == oracle_four_sum_values(F.table, n), (n, m)
+
+    def test_totals_beyond_int64_rejected_before_ddt_work(self, monkeypatch):
+        import apnlab.vbf as vbf
+
+        def no_ddt(*args):
+            raise AssertionError("DDT work started")
+
+        monkeypatch.setattr(vbf, "_derivative_counts", no_ddt)
+        F = VBF(16, 15, (0,) * (1 << 16))  # 3n + m = 63
+        with pytest.raises(ValueError, match="3n \\+ m"):
+            F.dstar_set()
 
 
 class TestLinearMaps:
@@ -182,6 +204,24 @@ class TestProjection:
             P = projection_killing(5, k)
             composed = project(F, P)
             assert project_is_apn(F, P) == composed.is_apn()
+
+    def test_project_is_apn_matches_direct_on_non_apn_tables(self):
+        from apnlab.vbf import project, project_is_apn
+
+        # 0 is in every kernel, and in D* exactly when F is not APN, so
+        # even the identity projection is decided right
+        rng = random.Random(31)
+        checked = 0
+        for seed in range(40):
+            n, m = rng.randint(2, 5), rng.randint(2, 5)
+            F = _random_function(n, m, 200 + seed)
+            if F.is_apn():
+                continue
+            checked += 1
+            for P in (projection_killing(m, rng.randrange(1, 1 << m)),
+                      LinearMap.identity(m)):
+                assert project_is_apn(F, P) == project(F, P).is_apn()
+        assert checked >= 20
 
 
 class TestValidation:
