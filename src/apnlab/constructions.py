@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .field import FieldSpec
 from .vbf import (
-    VBF, AffineMap, LinearMap, _insert, _xor_span, inverse_function, power_function,
+    _BLOCK, VBF, AffineMap, LinearMap, _insert, _wht_rows, _xor_span,
+    inverse_function, power_function,
 )
 
 
@@ -441,24 +442,18 @@ class CosetDecomposition:
 
     @classmethod
     def from_subfield_trace(cls, spec: FieldSpec) -> "CosetDecomposition":
-        """Fibers of Tr^n_2 over {0, 1, w, w^2}, as in the degree-8 example."""
+        """Fibers of Tr^n_2 over {0, 1, w, w^2}, as in the degree-8 example:
+        U is the kernel with its greedy basis in increasing order, and the
+        representatives are the fiber minima.  Tr^n_2 is F_2-linear, so its
+        table is the span of the n basis images."""
         if spec.n % 2 != 0:
             raise ValueError("requires even degree")
         _, w, w2 = spec.cube_roots_of_unity()
-        fibers: dict[int, list[int]] = {0: [], 1: [], w: [], w2: []}
-        for x in range(spec.size):
-            fibers[spec.trace_to_subfield(x, 2)].append(x)
-        basis = []
-        span = {0}
-        for x in fibers[0]:
-            if x not in span:
-                basis.append(x)
-                span |= {y ^ x for y in span}
-        return cls(
-            spec.n,
-            tuple(basis),
-            (0, min(fibers[1]), min(fibers[w]), min(fibers[w2])),
-        )
+        tr = _xor_span([spec.trace_to_subfield(1 << i, 2) for i in range(spec.n)])
+        pivots: list = [None] * spec.n
+        basis = [x for x in np.flatnonzero(tr == 0).tolist() if _insert(pivots, x)]
+        reps = [int(np.argmax(tr == v)) for v in (1, w, w2)]
+        return cls(spec.n, tuple(basis), (0, *reps))
 
 
 def coset_modify(F: VBF, dec: CosetDecomposition,
@@ -471,26 +466,45 @@ def coset_modify(F: VBF, dec: CosetDecomposition,
     return VBF(F.n, F.m, table, spec=F.spec)
 
 
-@lru_cache(maxsize=16)
 def admissible_sums(F: VBF, dec: CosetDecomposition) -> frozenset[int]:
     """Complement of the F-sums over 2-flats meeting every coset once; the
-    modified function is APN exactly when a_1+a_2+a_3+a_4 lands here."""
+    modified function is APN exactly when a_1+a_2+a_3+a_4 lands here.
+
+    With the cosets C_1 = U, C_2, C_3, C_4, each such flat is
+    {x, x+t, y, y+t} for exactly one x in C_1, t in C_2 and y in C_3, and
+    its F-sum is D_tF(x) + D_tF(y).  With the count rows
+    L_t(w) = #{x in C_1 : D_tF(x) = w} and R_t(w) = #{y in C_3 : D_tF(y) = w},
+    the number of flats with sum v is N(v) = sum_t (L_t * R_t)(v), an XOR
+    convolution, and the admissible sums are the zeros of N.  The
+    directions t run in blocks of about _BLOCK gathered values; a block is
+    one gather of D_tF over C_1 and C_3, one bincount and one
+    Walsh-Hadamard transform of its rows, whose products are summed over
+    t.  One inverse transform of length 2^m gives 2^m N.  Exact for any F:
+    the int64 totals are at most 2^(3n+m-6), exact while 3n + m <= 68;
+    larger shapes raise ValueError.
+    """
     if dec.n != F.n:
         raise ValueError("decomposition dimension does not match F")
+    n, m = F.n, F.m
+    if 3 * n + m > 68:
+        raise ValueError(f"flat counts need 3n + m <= 68 bits, got {3 * n + m}")
     if not F.is_apn():
         raise ValueError("F must be APN")
     T = F.as_array()
-    u1 = np.array(dec.coset(0))
-    u2 = np.array(dec.coset(1))
-    u3 = np.array(dec.coset(2))
-    x2g, x3g = np.meshgrid(u2, u3, indexing="ij")
-    f23 = T[x2g] ^ T[x3g]
-    seen: set[int] = set()
-    for x1 in u1:
-        x4 = x1 ^ x2g ^ x3g  # lands in the fourth coset automatically
-        sums = T[x1] ^ f23 ^ T[x4]
-        seen.update(np.unique(sums).tolist())
-    return frozenset(range(1 << F.m)) - seen
+    U = np.array(dec.subspace)
+    pts = np.concatenate([U, U ^ dec.reps[2]])  # C_1, then C_3
+    ts = U ^ dec.reps[1]
+    k = max(1, _BLOCK >> max(n, m))
+    power = np.zeros(1 << m, dtype=np.int64)
+    for j in range(0, ts.size, k):
+        t = ts[j:j + k, None]
+        rows = np.arange(2 * t.size).reshape(t.size, 2, 1) << m  # L_t, R_t
+        keys = rows | (T[t ^ pts] ^ T[pts]).reshape(t.size, 2, U.size)
+        c = np.bincount(keys.ravel(), minlength=2 * t.size << m)
+        hat = _wht_rows(np.ascontiguousarray(c.reshape(2 * t.size, 1 << m).T))
+        power += (hat[:, 0::2] * hat[:, 1::2]).sum(axis=1)
+    flats = _wht_rows(power[:, None])[:, 0]  # 2^m N
+    return frozenset(np.flatnonzero(flats == 0).tolist())
 
 
 def coset_criterion(F: VBF, dec: CosetDecomposition,

@@ -127,3 +127,17 @@ def oracle_gamma_rank(table, n: int, m: int) -> int:
                     break
                 row ^= pivots[b]
     return len(pivots)
+
+
+def oracle_admissible_sums(table, m: int, cosets):
+    """Values s in F_2^m outside {F(x1)+F(x2)+F(x3)+F(x4)} over all
+    xi in the i-th of the four cosets with x1+x2+x3+x4 = 0."""
+    c1, c2, c3, c4 = (set(c) for c in cosets)
+    sums = set()
+    for x1 in c1:
+        for x2 in c2:
+            for x3 in c3:
+                x4 = x1 ^ x2 ^ x3
+                assert x4 in c4
+                sums.add(table[x1] ^ table[x2] ^ table[x3] ^ table[x4])
+    return set(range(1 << m)) - sums

@@ -29,10 +29,12 @@ from apnlab.constructions import (
     th31_criterion,
     th31_witness,
 )
+from apnlab import constructions
 from apnlab.field import field_for
+from apnlab.search import enumerate_subspaces
 from apnlab.vbf import VBF, LinearMap, inverse_function, power_function
 
-from _oracles import oracle_is_apn
+from _oracles import oracle_admissible_sums, oracle_is_apn
 
 
 def _apn_45_seed(seed=0):
@@ -375,6 +377,102 @@ class TestCosetModification:
     def test_partition_is_validated(self):
         with pytest.raises(ValueError):
             CosetDecomposition(4, (1, 2), (0, 1, 2, 2))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_subfield_trace_decomposition_matches_definition(self, n):
+        """U is the kernel of Tr^n_2 with its greedy increasing basis, and
+        the representatives are the minima of the fibers over 1, w, w^2."""
+        spec = field_for(n)
+        fibers = {}
+        for x in range(spec.size):
+            fibers.setdefault(spec.trace_to_subfield(x, 2), []).append(x)
+        basis, span = [], {0}
+        for x in fibers[0]:
+            if x not in span:
+                basis.append(x)
+                span |= {y ^ x for y in span}
+        _, w, w2 = spec.cube_roots_of_unity()
+        dec = CosetDecomposition.from_subfield_trace(spec)
+        assert dec.basis == tuple(basis)
+        assert dec.reps == (0, fibers[1][0], fibers[w][0], fibers[w2][0])
+        assert dec.subspace == tuple(fibers[0])
+
+
+def _oracle_sums(F, dec):
+    return oracle_admissible_sums(F.table, F.m, [dec.coset(i) for i in range(4)])
+
+
+def _decompositions(n, seed):
+    decs = enumerate_subspaces(n, 2, 2, seed=seed)
+    decs.append(CosetDecomposition.from_basis(n, tuple(1 << i for i in range(2, n))))
+    if n % 2 == 0:
+        decs.append(CosetDecomposition.from_subfield_trace(field_for(n)))
+    return decs
+
+
+class TestAdmissibleSums:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_ea_copies_of_cube_match_oracle(self, n):
+        rng = random.Random(100 + n)
+        cube = power_function(field_for(n), 3)
+        for _ in range(2):
+            F = ea_transform(cube, *random_ea_triple(n, n, rng))
+            for dec in _decompositions(n, seed=rng.randrange(1 << 30)):
+                assert admissible_sums(F, dec) == _oracle_sums(F, dec)
+
+    def test_table1_functions_match_oracle(self):
+        spec = field_for(6)
+        decs = _decompositions(6, seed=18)
+        for F in table1_functions(spec):
+            for dec in decs:
+                assert admissible_sums(F, dec) == _oracle_sums(F, dec)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_trace_decomposition_matches_oracle(self, n):
+        spec = field_for(n)
+        F = power_function(spec, 3)
+        dec = CosetDecomposition.from_subfield_trace(spec)
+        assert admissible_sums(F, dec) == _oracle_sums(F, dec)
+
+    def test_non_apn_and_dimension_mismatch_raise(self):
+        dec = CosetDecomposition.from_basis(4, (1, 2))
+        with pytest.raises(ValueError, match="F must be APN"):
+            admissible_sums(power_function(field_for(4), 5), dec)
+        with pytest.raises(ValueError, match="dimension does not match"):
+            admissible_sums(power_function(field_for(5), 3), dec)
+
+    def test_totals_beyond_int64_rejected_before_apn_test(self, monkeypatch):
+        def no_apn_test(self):
+            raise AssertionError("APN test started")
+
+        monkeypatch.setattr(VBF, "is_apn", no_apn_test)
+        F = VBF(16, 21, (0,) * (1 << 16))  # 3n + m = 69
+        dec = CosetDecomposition.from_basis(16, tuple(1 << i for i in range(2, 16)))
+        with pytest.raises(ValueError, match="3n \\+ m"):
+            admissible_sums(F, dec)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_iff_direct_apn_test(self, n, monkeypatch):
+        """s is admissible iff adding s on the fourth coset keeps x^3 APN;
+        at n = 10 the directions run in more than one block."""
+        spec = field_for(n)
+        F = power_function(spec, 3)
+        calls = []
+        wht = constructions._wht_rows
+        monkeypatch.setattr(constructions, "_wht_rows",
+                            lambda v: calls.append(v.shape) or wht(v))
+        trace_dec = CosetDecomposition.from_subfield_trace(spec)
+        for dec in (trace_dec, enumerate_subspaces(n, 2, 1, seed=n)[0]):
+            adm = admissible_sums(F, dec)
+            for s in range(1 << n):
+                assert (s in adm) == coset_modify(F, dec, (0, 0, 0, s)).is_apn()
+        if n == 10:
+            calls.clear()
+            assert admissible_sums(F, trace_dec) == {0}
+            # one transform per block of directions t, then the inverse;
+            # a block holds an L and an R row per direction
+            blocks = [cols for _, cols in calls[:-1]]
+            assert len(blocks) > 1 and sum(blocks) == 2 * (1 << (n - 2))
 
 
 class TestEaTransforms:
