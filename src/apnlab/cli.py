@@ -148,9 +148,7 @@ def _verify_theorem35(args, out) -> int:
 
 
 def _verify_example_n8(args, out) -> int:
-    if not args.long:
-        print("error: the rank step of example-n8 needs --long", file=sys.stderr)
-        return EXIT_USAGE
+    """The degree-8 coset example; --long adds the two ranks (~1 min each)."""
     ck = _Checks(out)
     spec = field_for(8)
     cube = power_function(spec, 3)
@@ -169,6 +167,8 @@ def _verify_example_n8(args, out) -> int:
     ck.check("modified table equals x^3 + g^85*Tr_1(x)*Tr_2(x)",
              G.table == closed)
     ck.check("modified function is APN", G.is_apn())
+    if not args.long:
+        return ck.exit_code()
     t0 = time.monotonic()
     rF = gamma_rank(cube)
     ck.check("rank of x^3 incidence matrix = 11818", rF == 11818,

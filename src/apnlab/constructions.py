@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .field import FieldSpec
 from .vbf import (
     _BLOCK, VBF, AffineMap, LinearMap, _insert, _wht_rows, _xor_span,
-    inverse_function, power_function,
+    gf2_rank, inverse_function, power_function,
 )
 
 
@@ -217,17 +217,28 @@ def quadratic_concat_criterion(f: VBF, L: LinearMap, c: int) -> bool:
 
 # -- linear modification on the trace-zero hyperplane ---------------------
 
+@cache
+def _trace_table(spec: FieldSpec) -> np.ndarray:
+    """Tr(x) for every x: Tr is linear, the span of the trace-mask bits.
+    Read-only, as every caller shares it."""
+    tr = _xor_span([(spec.trace_mask >> i) & 1 for i in range(spec.n)])
+    tr.flags.writeable = False
+    return tr
+
+
+def _trace_modify(T: np.ndarray, ltabs: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """F + Tr(x)L(x) from the table T of F and one or a stack of L tables."""
+    return T ^ ltabs * _trace_table(spec)
+
+
 def hyperplane_modify(F: VBF, L: LinearMap) -> VBF:
     """G(x) = F(x) + Tr(x) L(x)."""
     if F.spec is None:
         raise ValueError("F must carry a field for the trace")
     if L.n_in != F.n or L.n_out != F.m:
         raise ValueError("L dimensions do not match F")
-    spec = F.spec
-    table = tuple(
-        v ^ (L(x) if spec.trace_absolute(x) else 0) for x, v in enumerate(F.table)
-    )
-    return VBF(F.n, F.m, table, spec=spec)
+    table = _trace_modify(F.as_array(), _xor_span(L.images), F.spec)
+    return VBF(F.n, F.m, tuple(table.tolist()), spec=F.spec)
 
 
 def check_quadratic_apn(F: VBF) -> None:
@@ -274,25 +285,42 @@ def th31_criterion(F: VBF, L: LinearMap, e0: Optional[int] = None, *,
 
 
 def exp_sum_condition(L: LinearMap, spec: FieldSpec) -> tuple[int, bool]:
-    """Exponential-sum characterization of the APN-ness of x^3 + Tr(x)L(x).
-
-    Returns (lhs, lhs == 2^(n-1) - 1), where lhs is the first sum minus
-    half the (always even) second sum, computed exactly over the integers.
-    """
+    """Exponential-sum characterization of the APN-ness of x^3 + Tr(x)L(x):
+    (lhs, lhs == 2^(n-1) - 1) for the lhs of `_exp_sum_lhs`."""
     if L.n_in != spec.n or L.n_out != spec.n:
         raise ValueError("L must be a map on the field")
-    s1 = 0
-    s2 = 0
-    for x in range(2, spec.size):
-        y = spec.mul(x, x) ^ x  # x^2 + x, nonzero for x not in {0, 1}
-        ly = L(y)
-        iy3 = spec.inv(spec.pow(y, 3))
-        s1 += -1 if spec.trace_absolute(spec.mul(spec.mul(spec.mul(x, x), ly), iy3)) else 1
-        s2 += -1 if spec.trace_absolute(spec.mul(ly, iy3)) else 1
-    if s2 % 2 != 0:
-        raise AssertionError("second exponential sum must be even")
-    lhs = s1 - s2 // 2
+    lhs = int(_exp_sum_lhs(spec, _xor_span(L.images)[None])[0])
     return lhs, lhs == (1 << (spec.n - 1)) - 1
+
+
+def _exp_sum_lhs(spec: FieldSpec, ltabs: np.ndarray) -> np.ndarray:
+    """The exponential sum of x^3 + Tr(x)L(x) for each row of a stack of
+    L tables, exactly over the integers.  With y = x^2 + x over x not in
+    {0, 1}, it is the sum of (-1)^Tr(u_x L(y)) minus half the (always even)
+    sum of (-1)^Tr(v_x L(y)), where v_x = 1/y^3 and u_x = x^2 v_x."""
+    y, masks, parity = _exp_sum_constants(spec)
+    s1, s2 = (1 - 2 * parity[ltabs[:, None, y] & masks]).sum(axis=2).T
+    if (s2 & 1).any():
+        raise AssertionError("second exponential sum must be even")
+    return s1 - s2 // 2
+
+
+@cache
+def _exp_sum_constants(spec: FieldSpec) -> tuple[np.ndarray, ...]:
+    """The y of `_exp_sum_lhs`, the masks M_u and M_v with Tr(c w) =
+    parity(M_c & w), and the parity table.  Tr(c w) is linear in w, so bit
+    i of M_c is Tr(c alpha^i): n products per mask, on the log tables."""
+    n, order = spec.n, spec.order
+    exp, log = np.array(spec.antilog), np.array(spec.log)
+    lx = log[2:]
+    y = exp[2 * lx % order] ^ np.arange(2, spec.size)
+    lv = -3 * log[y] % order
+    lc = np.stack([(2 * lx + lv) % order, lv])[..., None] + log[1 << np.arange(n)]
+    masks = (_trace_table(spec)[exp[lc % order]] << np.arange(n)).sum(axis=2)
+    out = y, masks, _xor_span([1] * n)
+    for a in out:
+        a.flags.writeable = False  # shared by every caller
+    return out
 
 
 # -- H-equivalence ---------------------------------------------------------
@@ -405,22 +433,17 @@ class CosetDecomposition:
 
     @cached_property
     def subspace(self) -> tuple[int, ...]:
-        out = [0]
-        for b in self.basis:
-            out += [x ^ b for x in out]
-        if len(set(out)) != 1 << (self.n - 2):
+        if gf2_rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors are dependent")
-        return tuple(sorted(out))
+        return tuple(np.sort(_xor_span(self.basis)).tolist())
 
     @cached_property
     def coset_of(self) -> tuple[int, ...]:
-        idx = [-1] * (1 << self.n)
-        for i, u in enumerate(self.reps):
-            for x in self.subspace:
-                if idx[x ^ u] != -1:
-                    raise ValueError("cosets do not partition the space")
-                idx[x ^ u] = i
-        return tuple(idx)
+        idx = np.full(1 << self.n, -1)
+        idx[np.array(self.subspace) ^ np.array(self.reps)[:, None]] = np.arange(4)[:, None]
+        if (idx < 0).any():
+            raise ValueError("cosets do not partition the space")
+        return tuple(idx.tolist())
 
     def coset(self, i: int) -> list[int]:
         u = self.reps[i]
@@ -430,15 +453,13 @@ class CosetDecomposition:
     def from_basis(cls, n: int, basis: tuple[int, ...]) -> "CosetDecomposition":
         """Canonical representatives: the smallest element of each coset,
         in increasing order of that minimum."""
-        span = {0}
-        for b in basis:
-            span |= {x ^ b for x in span}
-        rest = sorted(set(range(1 << n)) - span)
-        u2 = rest[0]
-        rest2 = sorted(set(rest) - {x ^ u2 for x in span})
-        u3 = rest2[0]
-        u4 = min(set(rest2) - {x ^ u3 for x in span})
-        return cls(n, tuple(basis), (0, u2, u3, u4))
+        span = _xor_span(basis)
+        covered = np.zeros(1 << n, dtype=bool)
+        reps = [0]
+        for _ in range(3):
+            covered[span ^ reps[-1]] = True
+            reps.append(int(np.argmin(covered)))
+        return cls(n, tuple(basis), tuple(reps))
 
     @classmethod
     def from_subfield_trace(cls, spec: FieldSpec) -> "CosetDecomposition":

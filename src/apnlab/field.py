@@ -9,7 +9,7 @@ owns log/antilog tables, traces to subfields and the cube roots of unity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 # Moduli pinned by the presets: n=6 is alpha^6+alpha^4+alpha^3+alpha+1,
 # n=8 is alpha^8+alpha^4+alpha^3+alpha^2+1.
@@ -259,9 +259,11 @@ class FieldSpec:
         return x
 
 
+@cache
 def field_for(n: int, modulus: int | None = None, generator: int | None = None) -> FieldSpec:
-    """Build a field of degree n: paper presets for n in {6, 8}, otherwise
-    the smallest primitive modulus; searches for a generator if needed."""
+    """The field of degree n: paper presets for n in {6, 8}, otherwise
+    the smallest primitive modulus; searches for a generator if needed.
+    Memoised, so each field builds its tables once per process."""
     if modulus is None:
         modulus = PRESET_MODULI.get(n) or smallest_primitive_modulus(n)
     if generator is None:

@@ -34,6 +34,8 @@ import numpy as np
 from .constructions import (
     CosetDecomposition,
     HyperplaneSpec,
+    _exp_sum_lhs,
+    _trace_modify,
     admissible_sums,
     check_quadratic_apn,
     coset_modify,
@@ -41,7 +43,9 @@ from .constructions import (
     th31_criterion,
 )
 from .field import FieldSpec
-from .vbf import VBF, LinearMap, _insert, _xor_span, power_function
+from .vbf import (
+    VBF, LinearMap, _insert, _xor_span, gf2_rank, is_apn_batch, power_function,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -122,13 +126,14 @@ def linear_map_from_index(spec: FieldSpec, index: int,
                           e0: Optional[int] = None) -> LinearMap:
     """Decode a candidate index into the linear map on F_{2^n} sending the
     i-th trace-zero basis vector to the i-th digit and e_0 to 0."""
-    n = spec.n
-    if e0 is None:
-        e0 = spec.trace_one_element()
-    digits = [(index >> (n * i)) & (spec.size - 1) for i in range(n - 1)]
-    table = np.empty(spec.size, dtype=np.int64)
-    table[_xor_span(t0_basis(spec) + [e0])] = _xor_span(digits + [0])
-    return LinearMap(n, n, tuple(int(table[1 << i]) for i in range(n)), spec=spec)
+    return _maps_from_tables(spec, _full_l_tables(
+        spec, np.array([index], dtype=np.int64), True, e0))[0]
+
+
+def _maps_from_tables(spec: FieldSpec, ltabs: np.ndarray) -> list[LinearMap]:
+    """The maps whose tables are the rows of `ltabs`."""
+    images = ltabs[:, 1 << np.arange(spec.n)].tolist()
+    return [LinearMap(spec.n, spec.n, tuple(row), spec=spec) for row in images]
 
 
 # -- the kernel criterion for F = x^3 as forbidden sets -------------------
@@ -311,8 +316,10 @@ def search_tr_l(spec: FieldSpec,
 def _verify_hits(spec: FieldSpec, hit_list: list[int], every: int) -> None:
     cube = power_function(spec, 3)
     check_quadratic_apn(cube)
-    for h in hit_list[::every]:
-        L = linear_map_from_index(spec, h)
+    checked = hit_list[::every]
+    maps = _maps_from_tables(spec, _full_l_tables(
+        spec, np.array(checked, dtype=np.int64), True))
+    for h, L in zip(checked, maps):
         if not th31_criterion(cube, L, checked=True):
             raise VerificationError(f"hit {h} fails the kernel criterion")
         if not hyperplane_modify(cube, L).is_apn():
@@ -334,42 +341,33 @@ class CrossCheckReport:
     def agrees(self) -> bool:
         return self.agreements == self.examined
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "examined": self.examined,
-            "agreements": self.agreements,
-            "criterion_hits": self.criterion_hits,
-            "oracle_hits": self.oracle_hits,
-            "seconds": self.seconds,
-        }
-
 
 def _full_l_tables(spec: FieldSpec, indices: np.ndarray,
-                   constrained: bool) -> np.ndarray:
+                   constrained: bool, e0: Optional[int] = None) -> np.ndarray:
     """Tables of L over the whole field for each candidate index.
 
-    Constrained indices pack images of the trace-zero basis (L(e_0) = 0);
-    unconstrained indices pack images of the standard basis in n-bit
-    digits."""
+    Constrained indices pack images of the trace-zero basis and L(e_0) = 0,
+    with e_0 the smallest trace-one element by default; unconstrained
+    indices pack images of the standard basis in n-bit digits."""
     n = spec.n
     digits = [(indices >> (n * i)) & (spec.size - 1)
               for i in range(n - 1 if constrained else n)]
     if not constrained:
         return _xor_span(digits, indices.shape)
+    if e0 is None:
+        e0 = spec.trace_one_element()
     out = np.empty((indices.shape[0], spec.size), dtype=np.int64)
-    out[:, _xor_span(t0_basis(spec) + [spec.trace_one_element()])] = \
+    out[:, _xor_span(t0_basis(spec) + [e0])] = \
         _xor_span(digits + [np.zeros_like(indices)], indices.shape)
     return out
 
 
 def _batch_modify_apn(spec: FieldSpec, ltabs: np.ndarray) -> np.ndarray:
-    from .vbf import is_apn_batch
-
     cube = np.array(power_function(spec, 3).table, dtype=np.int64)
-    tr = np.array([spec.trace_absolute(x) for x in range(spec.size)], dtype=np.int64)
-    gtabs = cube[None, :] ^ (ltabs * tr[None, :])
-    return is_apn_batch(gtabs, spec.n)
+    return is_apn_batch(_trace_modify(cube, ltabs, spec), spec.n)
+
+
+_CHECK_BLOCK = 1 << 13  # candidate indices per block of a cross-check
 
 
 def th31_crosscheck(spec: FieldSpec,
@@ -379,65 +377,44 @@ def th31_crosscheck(spec: FieldSpec,
     maps (L(e_0) = 0): exhaustive, or `samples` seeded random indices."""
     kernel = _CubeKernel(spec)
     total = map_space_size(spec)
-    t0 = time.monotonic()
     if samples is None:
-        indices = np.arange(total, dtype=np.int64)
-        space = f"th31-vs-ddt-exhaustive-n{spec.n}"
+        indices, mode = np.arange(total, dtype=np.int64), "exhaustive"
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         indices = SplitMix64(seed).below_many(total, samples).astype(np.int64)
-        space = f"th31-vs-ddt-random-n{spec.n}"
-    agree = chits = ohits = 0
-    for lo in range(0, indices.shape[0], 1 << 13):
-        blk = indices[lo:lo + (1 << 13)]
-        cmask = kernel.holds(blk)
-        omask = _batch_modify_apn(spec, _full_l_tables(spec, blk, constrained=True))
-        agree += int((cmask == omask).sum())
-        chits += int(cmask.sum())
-        ohits += int(omask.sum())
-    return CrossCheckReport(space, int(indices.shape[0]), agree, chits, ohits,
-                            time.monotonic() - t0)
+        mode = "random"
+    blocks = (indices[lo:lo + _CHECK_BLOCK] for lo in range(0, indices.size, _CHECK_BLOCK))
+    return _crosscheck(spec, f"th31-vs-ddt-{mode}-n{spec.n}", blocks, True,
+                       lambda blk, _: kernel.holds(blk))
 
 
 def exp_sum_crosscheck(spec: FieldSpec) -> CrossCheckReport:
     """Exponential-sum criterion vs direct APN test for x^3 + Tr*L over all
     2^(n*n) linear maps; integer arithmetic throughout."""
     total = 1 << (spec.n * spec.n)
-    t0 = time.monotonic()
-    tr = np.array([spec.trace_absolute(x) for x in range(spec.size)], dtype=np.int64)
-    # per-x constants of the two sums: y = x^2 + x, u = x^2 / y^3, v = 1 / y^3
-    xs = [x for x in range(spec.size) if x not in (0, 1)]
-    rows_y, rows_u, rows_v = [], [], []
-    for x in xs:
-        y = spec.mul(x, x) ^ x
-        iy3 = spec.inv(spec.pow(y, 3))
-        rows_y.append(y)
-        # sign tables indexed by L(y): (-1)^Tr(u * L(y)) and (-1)^Tr(v * L(y))
-        rows_u.append([1 - 2 * int(tr[spec.mul(spec.mul(spec.mul(x, x), iy3), w)])
-                       for w in range(spec.size)])
-        rows_v.append([1 - 2 * int(tr[spec.mul(iy3, w)]) for w in range(spec.size)])
-    y_arr = np.array(rows_y)
-    u_sign = np.array(rows_u, dtype=np.int64)
-    v_sign = np.array(rows_v, dtype=np.int64)
     target = (1 << (spec.n - 1)) - 1
-    agree = chits = ohits = 0
-    for lo in range(0, total, 1 << 13):
-        blk = np.arange(lo, min(lo + (1 << 13), total), dtype=np.int64)
-        ltabs = _full_l_tables(spec, blk, constrained=False)
-        ly = ltabs[:, y_arr]  # (B, |xs|)
-        rows = np.arange(len(xs))[None, :]
-        s1 = u_sign[rows, ly].sum(axis=1)
-        s2 = v_sign[rows, ly].sum(axis=1)
-        if (s2 & 1).any():
-            raise AssertionError("second exponential sum must be even")
-        cmask = (s1 - s2 // 2) == target
-        omask = _batch_modify_apn(spec, ltabs)
+    blocks = (np.arange(lo, min(lo + _CHECK_BLOCK, total), dtype=np.int64)
+              for lo in range(0, total, _CHECK_BLOCK))
+    return _crosscheck(spec, f"expsum-vs-ddt-exhaustive-n{spec.n}", blocks, False,
+                       lambda _, ltabs: _exp_sum_lhs(spec, ltabs) == target)
+
+
+
+def _crosscheck(spec: FieldSpec, space: str, blocks, constrained: bool,
+                criterion) -> CrossCheckReport:
+    """criterion(indices, L tables) against the direct APN test of
+    x^3 + Tr*L, one block of candidate indices at a time."""
+    t0 = time.monotonic()
+    examined = agree = chits = ohits = 0
+    for blk in blocks:
+        ltabs = _full_l_tables(spec, blk, constrained)
+        cmask, omask = criterion(blk, ltabs), _batch_modify_apn(spec, ltabs)
+        examined += blk.size
         agree += int((cmask == omask).sum())
         chits += int(cmask.sum())
         ohits += int(omask.sum())
-    return CrossCheckReport(f"expsum-vs-ddt-exhaustive-n{spec.n}", total,
-                            agree, chits, ohits, time.monotonic() - t0)
+    return CrossCheckReport(space, examined, agree, chits, ohits, time.monotonic() - t0)
 
 
 # -- coset-constant search -------------------------------------------------
@@ -448,14 +425,6 @@ class CosetConstantReport:
     sample_tuples: tuple[tuple[int, int, int, int], ...]
     examined: int
     seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "admissible": sorted(self.admissible),
-            "sample_tuples": [list(t) for t in self.sample_tuples],
-            "examined": self.examined,
-            "seconds": self.seconds,
-        }
 
 
 def search_coset_constants(F: VBF, dec: CosetDecomposition) -> CosetConstantReport:
@@ -475,19 +444,6 @@ def search_coset_constants(F: VBF, dec: CosetDecomposition) -> CosetConstantRepo
 
 # -- subspace samplers -----------------------------------------------------
 
-def _rref_basis(vectors: list[int]) -> Optional[tuple[int, ...]]:
-    """Reduced echelon basis of the span, or None if dependent."""
-    rows: list[int] = []
-    for v in vectors:
-        for r in rows:
-            v = min(v, v ^ r)
-        if v == 0:
-            return None
-        rows.append(v)
-        rows = [min(r, r ^ v) if r != v else v for r in rows]
-    return tuple(sorted(rows, reverse=True))
-
-
 def _hyperplane_functional(n: int, basis: tuple[int, ...]) -> int:
     for a in range(1, 1 << n):
         if all(((a & v).bit_count() & 1) == 0 for v in basis):
@@ -502,19 +458,22 @@ def enumerate_subspaces(n: int, codim: int, count: int, seed: int):
         raise ValueError("codimension must be 1 or 2")
     dim = n - codim
     rng = SplitMix64(seed)
-    seen: set[tuple[int, ...]] = set()
+    seen: set = set()
     out = []
     attempts = 0
     limit = max(1000, 1000 * count)
     while len(out) < count and attempts < limit:
         attempts += 1
-        vecs = [1 + rng.below((1 << n) - 1) for _ in range(dim)]
-        basis = _rref_basis(vecs)
-        if basis is None or basis in seen:
+        basis = tuple(1 + rng.below((1 << n) - 1) for _ in range(dim))
+        if gf2_rank(basis) < dim:
             continue
-        seen.add(basis)
         if codim == 1:
-            out.append(HyperplaneSpec(n, _hyperplane_functional(n, basis), 0))
+            sub = HyperplaneSpec(n, _hyperplane_functional(n, basis), 0)
+            key = sub.a
         else:
-            out.append(CosetDecomposition.from_basis(n, basis))
+            sub = CosetDecomposition.from_basis(n, basis)
+            key = sub.subspace
+        if key not in seen:
+            seen.add(key)
+            out.append(sub)
     return out

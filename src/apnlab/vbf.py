@@ -81,10 +81,10 @@ class LinearMap:
         return acc
 
     def table(self) -> tuple[int, ...]:
-        return tuple(self(x) for x in range(1 << self.n_in))
+        return tuple(_xor_span(self.images).tolist())
 
     def kernel(self) -> list[int]:
-        return [x for x in range(1 << self.n_in) if self(x) == 0]
+        return np.flatnonzero(_xor_span(self.images) == 0).tolist()
 
     def image_rank(self) -> int:
         return gf2_rank(self.images)

@@ -141,3 +141,32 @@ def oracle_admissible_sums(table, m: int, cosets):
                 assert x4 in c4
                 sums.add(table[x1] ^ table[x2] ^ table[x3] ^ table[x4])
     return set(range(1 << m)) - sums
+
+
+def oracle_coset_minima(n: int, basis):
+    """The smallest element of each coset of span(basis) in F_2^n, in
+    increasing order, from the span of every subset of the basis."""
+    span = set()
+    for c in range(1 << len(basis)):
+        v = 0
+        for i, b in enumerate(basis):
+            if (c >> i) & 1:
+                v ^= b
+        span.add(v)
+    return sorted({min(x ^ s for s in span) for x in range(1 << n)})
+
+
+def oracle_exp_sum_lhs(L, spec) -> int:
+    """The exponential sum of x^3 + Tr(x)L(x) element by element: with
+    y = x^2 + x over x not in {0, 1}, the sum of (-1)^Tr(x^2 L(y) / y^3)
+    minus half the sum of (-1)^Tr(L(y) / y^3)."""
+    s1 = 0
+    s2 = 0
+    for x in range(2, spec.size):
+        y = spec.mul(x, x) ^ x
+        ly = L(y)
+        iy3 = spec.inv(spec.pow(y, 3))
+        s1 += -1 if spec.trace_absolute(spec.mul(spec.mul(spec.mul(x, x), ly), iy3)) else 1
+        s2 += -1 if spec.trace_absolute(spec.mul(ly, iy3)) else 1
+    assert s2 % 2 == 0
+    return s1 - s2 // 2

@@ -110,9 +110,11 @@ class TestVerify:
         assert code == 0
         assert "65536/65536" in out
 
-    def test_example_n8_requires_long(self, capsys):
-        code, _, err = _run(capsys, "verify", "example-n8")
-        assert code == 2 and "--long" in err
+    def test_example_n8_without_long_runs_the_table_checks(self, capsys):
+        code, out, _ = _run(capsys, "verify", "example-n8")
+        assert code == 0
+        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
+        assert "rank" not in out
 
 
 class TestConstruct:
@@ -369,6 +371,28 @@ class TestUsage:
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 is not irreducible
         code = main(["search", "--n", "4", "--modulus", "15"])
         assert code == 2
+
+
+class TestFieldMemo:
+    def test_field_for_returns_one_instance(self):
+        assert field_for(8) is field_for(8)
+
+    def test_two_coset_calls_build_the_log_tables_once(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from apnlab.field import FieldSpec
+
+        builds = []
+        tables = FieldSpec.__dict__["_tables"]
+        real = tables.func
+        monkeypatch.setattr(tables, "func",
+                            lambda spec: builds.append(spec.n) or real(spec))
+        field_for.cache_clear()
+        for k in range(2):
+            code, _, _ = _run(capsys, "construct", "coset", "--n", "8",
+                              "--consts", "0,0,g^170,1",
+                              "--out", str(tmp_path / f"G{k}.vbf1"))
+            assert code == 0
+        assert builds == [8]
 
 
 class TestParserReuse:

@@ -34,7 +34,12 @@ from apnlab.field import field_for
 from apnlab.search import enumerate_subspaces
 from apnlab.vbf import VBF, LinearMap, inverse_function, power_function
 
-from _oracles import oracle_admissible_sums, oracle_is_apn
+from _oracles import (
+    oracle_admissible_sums,
+    oracle_coset_minima,
+    oracle_exp_sum_lhs,
+    oracle_is_apn,
+)
 
 
 def _apn_45_seed(seed=0):
@@ -282,6 +287,21 @@ class TestHyperplaneModification:
         assert th31_criterion(cube, L) == direct
         assert exp_sum_condition(L, spec)[1] == direct
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_exp_sum_matches_scalar_oracle_on_seeded_maps(self, n):
+        spec = field_for(n)
+        rng = random.Random(40 + n)
+        target = (1 << (n - 1)) - 1
+        for _ in range(40):
+            L = LinearMap(n, n, tuple(rng.randrange(spec.size) for _ in range(n)))
+            want = oracle_exp_sum_lhs(L, spec)
+            assert exp_sum_condition(L, spec) == (want, want == target)
+
+    def test_exp_sum_matches_scalar_oracle_on_table1(self):
+        spec = field_for(6)
+        for L in table1_maps(spec):
+            assert exp_sum_condition(L, spec) == (oracle_exp_sum_lhs(L, spec), True)
+
 
 class TestHEquivalence:
     def test_witness_found_for_planted_affine_difference(self):
@@ -377,6 +397,31 @@ class TestCosetModification:
     def test_partition_is_validated(self):
         with pytest.raises(ValueError):
             CosetDecomposition(4, (1, 2), (0, 1, 2, 2))
+
+    def test_overlapping_cosets_rejected(self):
+        # 5 lies in the coset of 4, so the four cosets miss 8 + U
+        with pytest.raises(ValueError, match="cosets do not partition the space"):
+            CosetDecomposition(4, (1, 2), (0, 4, 8, 5))
+
+    @pytest.mark.parametrize("basis", [(1, 1), (3, 0), (3, 5, 6)])
+    def test_dependent_basis_rejected(self, basis):
+        n = len(basis) + 2
+        with pytest.raises(ValueError, match="basis vectors are dependent"):
+            CosetDecomposition(n, basis, (0, 1 << (n - 2), 2 << (n - 2), 3 << (n - 2)))
+        with pytest.raises(ValueError, match="basis vectors are dependent"):
+            CosetDecomposition.from_basis(n, basis)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_from_basis_reps_are_coset_minima(self, n):
+        rng = random.Random(70 + n)
+        for _ in range(6):
+            basis = tuple(rng.randrange(1, 1 << n) for _ in range(n - 2))
+            if len(oracle_coset_minima(n, basis)) != 4:
+                continue  # dependent draw
+            dec = CosetDecomposition.from_basis(n, basis)
+            assert list(dec.reps) == oracle_coset_minima(n, basis)
+            assert dec.coset_of == tuple(
+                next(i for i in range(4) if x in dec.coset(i)) for x in range(1 << n))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_subfield_trace_decomposition_matches_definition(self, n):

@@ -257,7 +257,38 @@ class TestCosetConstants:
                 assert coset_modify(F, dec, t).is_apn()
 
 
+# enumerate_subspaces(5, codim, count, seed): the hyperplane functionals
+# (codimension 1, count 6) and the (subspace, reps) pairs (codimension 2,
+# count 4), pinned so that every rewrite of the sampler keeps its stream.
+_PINNED_FUNCTIONALS = {
+    0: [23, 2, 17, 20, 26, 3],
+    5: [29, 20, 18, 15, 13, 12],
+    77: [30, 3, 27, 17, 11, 7],
+}
+_PINNED_SPANS = {
+    0: [((0, 3, 8, 11, 17, 18, 25, 26), (0, 1, 4, 5)),
+        ((0, 4, 11, 15, 16, 20, 27, 31), (0, 1, 2, 3)),
+        ((0, 2, 8, 10, 17, 19, 25, 27), (0, 1, 4, 5)),
+        ((0, 3, 8, 11, 20, 23, 28, 31), (0, 1, 4, 5))],
+    5: [((0, 5, 11, 14, 17, 20, 26, 31), (0, 1, 2, 3)),
+        ((0, 5, 9, 12, 18, 23, 27, 30), (0, 1, 2, 3)),
+        ((0, 4, 8, 12, 16, 20, 24, 28), (0, 1, 2, 3)),
+        ((0, 4, 9, 13, 18, 22, 27, 31), (0, 1, 2, 3))],
+    77: [((0, 1, 10, 11, 18, 19, 24, 25), (0, 2, 4, 6)),
+         ((0, 1, 12, 13, 18, 19, 30, 31), (0, 2, 4, 6)),
+         ((0, 3, 4, 7, 24, 27, 28, 31), (0, 1, 8, 9)),
+         ((0, 3, 8, 11, 20, 23, 28, 31), (0, 1, 4, 5))],
+}
+
+
 class TestSubspaceSampler:
+    @pytest.mark.parametrize("seed", sorted(_PINNED_SPANS))
+    def test_pinned_stream(self, seed):
+        hps = enumerate_subspaces(5, 1, 6, seed=seed)
+        assert [h.a for h in hps] == _PINNED_FUNCTIONALS[seed]
+        decs = enumerate_subspaces(5, 2, 4, seed=seed)
+        assert [(d.subspace, d.reps) for d in decs] == _PINNED_SPANS[seed]
+
     def test_all_63_hyperplanes_found(self):
         hps = enumerate_subspaces(6, 1, 63, seed=0)
         assert len({h.a for h in hps}) == 63
