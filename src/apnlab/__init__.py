@@ -10,7 +10,6 @@ from .vbf import (
     DifferentialProfile,
     LinearMap,
     WalshSpectrum,
-    from_table,
     from_univariate,
     inverse_function,
     power_function,
@@ -52,13 +51,11 @@ from .invariants import (
     is_classical,
 )
 from .search import (
-    CosetConstantReport,
     SearchReport,
     SplitMix64,
     VerificationError,
     enumerate_subspaces,
     linear_map_from_index,
-    search_coset_constants,
     search_tr_l,
 )
 
@@ -67,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldSpec", "field_for", "PRESET_MODULI",
     "VBF", "AffineMap", "DifferentialProfile", "LinearMap", "WalshSpectrum",
-    "from_table", "from_univariate", "inverse_function", "power_function",
+    "from_univariate", "inverse_function", "power_function",
     "projection_killing",
     "FormatError", "read_lin1", "read_vbf1", "write_lin1", "write_vbf1",
     "CosetDecomposition", "Decomposition", "HyperplaneSpec", "SwitchSpec",
@@ -79,7 +76,6 @@ __all__ = [
     "th31_criterion", "th31_witness",
     "DistinguishResult", "InvariantBundle", "classical_spectrum",
     "distinguish", "gamma_rank", "invariant_bundle", "is_classical",
-    "CosetConstantReport", "SearchReport", "SplitMix64", "VerificationError",
-    "enumerate_subspaces", "linear_map_from_index", "search_coset_constants",
-    "search_tr_l",
+    "SearchReport", "SplitMix64", "VerificationError",
+    "enumerate_subspaces", "linear_map_from_index", "search_tr_l",
 ]

@@ -57,10 +57,8 @@ class _Checks:
     def __init__(self, out):
         self.out = out
         self.failed = 0
-        self.total = 0
 
     def check(self, label: str, ok: bool, detail: str = "") -> None:
-        self.total += 1
         if not ok:
             self.failed += 1
         tail = f"  ({detail})" if detail else ""
@@ -233,10 +231,7 @@ def cmd_construct(args, out=None) -> int:
     out = out or sys.stdout
     try:
         return _construct_dispatch(args, out)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # FormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -400,17 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_field_args(sp, need_n=True):
-        if need_n:
-            sp.add_argument("--n", type=int, help="field degree")
-        sp.add_argument("--modulus", type=_parse_hex, default=None,
-                        help="irreducible modulus as a hex bitmask (e.g. 11d)")
-        sp.add_argument("--style", choices=["hex", "power"], default="hex",
-                        help="element display style")
-
     sp = sub.add_parser("analyze", help="report properties of a vbf1 table")
     sp.add_argument("path")
-    add_field_args(sp, need_n=False)
+    sp.add_argument("--modulus", type=_parse_hex, default=None,
+                    help="irreducible modulus as a hex bitmask (e.g. 11d)")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify", help="run reference verification targets")

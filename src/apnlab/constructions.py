@@ -16,8 +16,8 @@ import numpy as np
 
 from .field import FieldSpec
 from .vbf import (
-    _BLOCK, VBF, AffineMap, LinearMap, _insert, _wht_rows, _xor_span,
-    gf2_rank, inverse_function, power_function,
+    VBF, AffineMap, LinearMap, _flat_counts, _insert, _xor_span, gf2_rank,
+    inverse_function, power_function,
 )
 
 
@@ -30,11 +30,6 @@ def pair_lift(f: VBF, g: VBF) -> VBF:
         raise ValueError("g must be a Boolean function on the same domain")
     table = tuple((fv << 1) | gv for fv, gv in zip(f.table, g.table))
     return VBF(f.n, f.m + 1, table)
-
-def split_pair(F: VBF) -> tuple[VBF, VBF]:
-    f = VBF(F.n, F.m - 1, tuple(v >> 1 for v in F.table))
-    g = VBF(F.n, 1, tuple(v & 1 for v in F.table))
-    return f, g
 
 
 @dataclass(frozen=True)
@@ -506,25 +501,11 @@ def admissible_sums(F: VBF, dec: CosetDecomposition) -> frozenset[int]:
     """
     if dec.n != F.n:
         raise ValueError("decomposition dimension does not match F")
-    n, m = F.n, F.m
-    if 3 * n + m > 68:
-        raise ValueError(f"flat counts need 3n + m <= 68 bits, got {3 * n + m}")
+    U = np.array(dec.subspace)
+    # rejects oversized shapes first, before the APN test
+    flats = _flat_counts(F.as_array(), F.m, U, U ^ dec.reps[1], U ^ dec.reps[2])
     if not F.is_apn():
         raise ValueError("F must be APN")
-    T = F.as_array()
-    U = np.array(dec.subspace)
-    pts = np.concatenate([U, U ^ dec.reps[2]])  # C_1, then C_3
-    ts = U ^ dec.reps[1]
-    k = max(1, _BLOCK >> max(n, m))
-    power = np.zeros(1 << m, dtype=np.int64)
-    for j in range(0, ts.size, k):
-        t = ts[j:j + k, None]
-        rows = np.arange(2 * t.size).reshape(t.size, 2, 1) << m  # L_t, R_t
-        keys = rows | (T[t ^ pts] ^ T[pts]).reshape(t.size, 2, U.size)
-        c = np.bincount(keys.ravel(), minlength=2 * t.size << m)
-        hat = _wht_rows(np.ascontiguousarray(c.reshape(2 * t.size, 1 << m).T))
-        power += (hat[:, 0::2] * hat[:, 1::2]).sum(axis=1)
-    flats = _wht_rows(power[:, None])[:, 0]  # 2^m N
     return frozenset(np.flatnonzero(flats == 0).tolist())
 
 

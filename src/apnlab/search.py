@@ -1,7 +1,6 @@
 """Counting experiments and parameter searches: exhaustive or seeded
 random scans over linear maps L (with L(e_0) = 0) for the hyperplane
-modification of x^3, coset-constant searches, and deterministic random
-subspace samplers.
+modification of x^3, and deterministic random subspace samplers.
 
 Candidate maps are encoded as one integer: the n-1 images of a fixed
 basis of the trace-zero hyperplane, packed in n-bit digits, so an index
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -36,15 +35,13 @@ from .constructions import (
     HyperplaneSpec,
     _exp_sum_lhs,
     _trace_modify,
-    admissible_sums,
     check_quadratic_apn,
-    coset_modify,
     hyperplane_modify,
     th31_criterion,
 )
 from .field import FieldSpec
 from .vbf import (
-    VBF, LinearMap, _insert, _xor_span, gf2_rank, is_apn_batch, power_function,
+    LinearMap, _insert, _xor_span, gf2_rank, is_apn_batch, power_function,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -93,21 +90,12 @@ class SearchReport:
     hit_list: tuple[int, ...]
     cap: int
     seed: Optional[int]
-    seconds: float
     workers: int
 
     def to_dict(self) -> dict:
-        """The printed report: `seconds` is left out, so it depends only on
+        """The printed report; it carries no timing, so it depends only on
         the inputs."""
-        return {
-            "space": self.space,
-            "examined": self.examined,
-            "hits": self.hits,
-            "hit_list": list(self.hit_list),
-            "cap": self.cap,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        return {**asdict(self), "hit_list": list(self.hit_list)}
 
 
 # -- candidate encoding ----------------------------------------------------
@@ -258,8 +246,7 @@ def search_tr_l(spec: FieldSpec,
                 seed: Optional[int] = None,
                 workers: int = 1,
                 cap: int = 64,
-                long_ok: bool = False,
-                verify: bool = True) -> SearchReport:
+                long_ok: bool = False) -> SearchReport:
     """Count linear maps L with L(e_0) = 0 making x^3 + Tr(x)L(x) APN.
 
     Exhaustive mode scans the whole 2^(n(n-1)) space (degree >= 6 needs
@@ -274,7 +261,6 @@ def search_tr_l(spec: FieldSpec,
         raise ValueError(f"sample count {samples} must be non-negative")
     kernel = _CubeKernel(spec)
     total = map_space_size(spec)
-    t_start = time.monotonic()
     if mode == "exhaustive":
         if spec.n >= 6 and not long_ok:
             raise ValueError(
@@ -305,11 +291,10 @@ def search_tr_l(spec: FieldSpec,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if verify:
-        _verify_hits(spec, hit_list, every=1 if spec.n <= 5 else 100)
+    _verify_hits(spec, hit_list, every=1 if spec.n <= 5 else 100)
     return SearchReport(
         space=space, examined=examined, hits=hits, hit_list=tuple(hit_list),
-        cap=cap, seed=seed, seconds=time.monotonic() - t_start, workers=workers,
+        cap=cap, seed=seed, workers=workers,
     )
 
 
@@ -415,31 +400,6 @@ def _crosscheck(spec: FieldSpec, space: str, blocks, constrained: bool,
         chits += int(cmask.sum())
         ohits += int(omask.sum())
     return CrossCheckReport(space, examined, agree, chits, ohits, time.monotonic() - t0)
-
-
-# -- coset-constant search -------------------------------------------------
-
-@dataclass(frozen=True)
-class CosetConstantReport:
-    admissible: frozenset[int]
-    sample_tuples: tuple[tuple[int, int, int, int], ...]
-    examined: int
-    seconds: float
-
-
-def search_coset_constants(F: VBF, dec: CosetDecomposition) -> CosetConstantReport:
-    """Admissible four-sum values for the coset modification of F, with one
-    verified constant tuple per admissible sum."""
-    t0 = time.monotonic()
-    adm = admissible_sums(F, dec)
-    tuples = []
-    for s in sorted(adm):
-        consts = (0, 0, 0, s)
-        if not coset_modify(F, dec, consts).is_apn():
-            raise VerificationError(f"admissible sum {s} fails the direct APN test")
-        tuples.append(consts)
-    examined = (1 << (F.n - 2)) ** 3
-    return CosetConstantReport(adm, tuple(tuples), examined, time.monotonic() - t0)
 
 
 # -- subspace samplers -----------------------------------------------------

@@ -3,11 +3,13 @@ spectral analysis: DDT and the APN test, Walsh spectra, algebraic degree,
 the symmetric form B_F, the four-sum value set D_F*, and linear
 projections with the kernel-intersection APN criterion.
 
-Two numpy kernels carry the whole-table work: `_derivative_counts` yields
-blocks of DDT rows, and `_wht_rows` is a Walsh-Hadamard transform.  The
-APN test, the DDT and D_F* are built on the first; the Walsh spectrum and
-D_F* on the second.  The GF(2) helpers `_insert`, `gf2_rank` and
-`_xor_span` serve the other modules too.
+Three numpy kernels carry the whole-table work.  `_derivative_counts`
+yields blocks of DDT rows, for the APN test and the DDT.  `_wht_rows` is
+a Walsh-Hadamard transform, for the Walsh spectrum and the flat counts.
+`_flat_counts` counts the F-sums over the 2-flats {x, x+t, y, y+t} with
+x, t and y in three point sets, for D_F* and the admissible coset sums.
+The GF(2) helpers `_insert`, `gf2_rank` and `_xor_span` serve the other
+modules too.
 """
 from __future__ import annotations
 
@@ -51,10 +53,6 @@ class LinearMap:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def from_images(cls, n_out: int, images: Sequence[int]) -> "LinearMap":
-        return cls(len(images), n_out, tuple(images))
-
-    @classmethod
     def from_linearized(cls, spec: FieldSpec, coeffs: Sequence[int]) -> "LinearMap":
         """Map x -> sum coeffs[i] * x^(2^i) on the field of spec."""
         coeffs = tuple(coeffs) + (0,) * (spec.n - len(coeffs))
@@ -94,15 +92,6 @@ class LinearMap:
 
     def is_surjective(self) -> bool:
         return self.image_rank() == self.n_out
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if (self.n_in, self.n_out) != (other.n_in, other.n_out):
-            raise ValueError("dimension mismatch")
-        return LinearMap(
-            self.n_in, self.n_out,
-            tuple(a ^ b for a, b in zip(self.images, other.images)),
-            spec=self.spec or other.spec,
-        )
 
 
 @dataclass(frozen=True)
@@ -320,13 +309,8 @@ class VBF:
         totals are at most 2^(3n+m), exact while 3n + m <= 62; larger
         shapes raise ValueError.
         """
-        n, m = self.n, self.m
-        if 3 * n + m > 62:
-            raise ValueError(f"D* totals need 3n + m <= 62 bits, got {3 * n + m}")
-        power = np.zeros(1 << m, dtype=np.int64)
-        for _, c in _derivative_counts(self.as_array(), n, m, _BLOCK):
-            power += (_wht_rows(np.ascontiguousarray(c.T)) ** 2).sum(axis=1)
-        auto = _wht_rows(power[:, None])[:, 0] >> m
+        n, xs = self.n, np.arange(1 << self.n)
+        auto = _flat_counts(self.as_array(), self.m, xs, xs[1:], xs) >> self.m
         auto[0] -= ((1 << n) - 1) << (n + 1)
         return frozenset(np.flatnonzero(auto > 0).tolist())
 
@@ -368,6 +352,42 @@ def _wht_rows(v: np.ndarray) -> np.ndarray:
     return v.reshape(size, cols)
 
 
+def _flat_counts(T: np.ndarray, m: int, left: np.ndarray, dirs: np.ndarray,
+                 right: np.ndarray) -> np.ndarray:
+    """2^m N(v) for every v below 2^m, where N(v) counts the (x, t, y) in
+    left x dirs x right with D_tF(x) + D_tF(y) = v, for the table T of F:
+    N = sum_t (L_t * R_t) for the counts L_t and R_t of D_tF over left and
+    right.  Each block of about _BLOCK gathered values is one gather, one
+    bincount and one Walsh-Hadamard transform of the count rows (one row
+    per t, squared, when `left is right`).  With at most 2^p points in a
+    set the int64 totals are at most 2^(3p+m); 3p + m > 62 raises
+    ValueError before any gather."""
+    n = T.size.bit_length() - 1
+    p = (max(len(left), len(dirs), len(right)) - 1).bit_length()
+    if 3 * p + m > 62:
+        raise ValueError(f"flat counts need 3n + m <= {62 + 3 * (n - p)} bits, "
+                         f"got {3 * n + m}")
+    k = max(1, _BLOCK >> max(n, m))
+    if left is right:
+        pts, per, side = left, 1, 0
+    else:
+        pts, per = np.concatenate([left, right]), 2
+        side = np.repeat([0, 1 << m], [len(left), len(right)])
+    rows = (per * np.arange(k)[:, None] << m) + side  # L_t, then R_t if apart
+    Tp = T[pts]
+    power = np.zeros(1 << m, dtype=np.int64)
+    for j in range(0, len(dirs), k):
+        t = dirs[j:j + k, None]
+        c = np.bincount((rows[:t.size] | (T[t ^ pts] ^ Tp)).ravel(),
+                        minlength=per * t.size << m)
+        # rebinding c frees the raw counts before the transform; holding
+        # them made D* at n = 8 ~8 % slower (2-vCPU x86, glibc malloc)
+        c = np.ascontiguousarray(c.reshape(per * t.size, 1 << m).T)
+        hat = _wht_rows(c)
+        power += (hat ** 2 if per == 1 else hat[:, 0::2] * hat[:, 1::2]).sum(axis=1)
+    return _wht_rows(power[:, None])[:, 0]
+
+
 def _insert(pivots: list, row: int) -> int:
     """Reduce `row` by the table of rows keyed by their top bit; store and
     return the remainder if it is nonzero.  Returns 0 when `row` is in the
@@ -401,10 +421,6 @@ def _xor_span(gens, lead: tuple = (), dtype=np.int64) -> np.ndarray:
 
 # -- constructors ---------------------------------------------------------
 
-def from_table(n: int, m: int, values: Iterable[int], spec: Optional[FieldSpec] = None) -> VBF:
-    return VBF(n, m, tuple(values), spec=spec)
-
-
 def from_univariate(spec: FieldSpec, terms: Sequence[tuple[int, int]]) -> VBF:
     """F(x) = sum of c * x^d over the (c, d) terms, evaluated pointwise."""
     top = spec.order
@@ -432,14 +448,6 @@ def inverse_function(spec: FieldSpec) -> VBF:
 
 
 # -- projections ----------------------------------------------------------
-
-def project(F: VBF, pi: LinearMap) -> VBF:
-    if pi.n_in != F.m:
-        raise ValueError("projection domain does not match output dimension")
-    if not pi.is_surjective():
-        raise ValueError("projection must be surjective")
-    return VBF(F.n, pi.n_out, tuple(pi(v) for v in F.table))
-
 
 def project_is_apn(F: VBF, pi: LinearMap) -> bool:
     """APN-ness of pi o F without the projected DDT: pi o F is APN iff no

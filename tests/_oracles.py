@@ -129,6 +129,30 @@ def oracle_gamma_rank(table, n: int, m: int) -> int:
     return len(pivots)
 
 
+def project(F, pi):
+    """pi o F, value by value, as a function of the same type as F."""
+    return type(F)(F.n, pi.n_out, tuple(pi(v) for v in F.table))
+
+
+def split_pair(F):
+    """(f, g) with F = (f, g): the last output bit is g."""
+    f = type(F)(F.n, F.m - 1, tuple(v >> 1 for v in F.table))
+    g = type(F)(F.n, 1, tuple(v & 1 for v in F.table))
+    return f, g
+
+
+def oracle_flat_counts(table, m: int, left, dirs, right):
+    """N(v) = #{(x, t, y) in left x dirs x right :
+    F(x) + F(x+t) + F(y) + F(y+t) = v} for every v below 2^m, by
+    enumerating the triples."""
+    counts = [0] * (1 << m)
+    for x in left:
+        for t in dirs:
+            for y in right:
+                counts[table[x] ^ table[x ^ t] ^ table[y] ^ table[y ^ t]] += 1
+    return counts
+
+
 def oracle_admissible_sums(table, m: int, cosets):
     """Values s in F_2^m outside {F(x1)+F(x2)+F(x3)+F(x4)} over all
     xi in the i-th of the four cosets with x1+x2+x3+x4 = 0."""

@@ -8,7 +8,9 @@ from apnlab.cli import main
 from apnlab.field import field_for
 from apnlab.io import write_lin1, write_vbf1
 from apnlab.vbf import VBF, inverse_function, power_function
-from apnlab.constructions import inverse_extension, split_pair, table1_maps
+from apnlab.constructions import inverse_extension, table1_maps
+
+from _oracles import split_pair
 
 SCHEMA_PATH = "docs/certificate.schema.json"
 

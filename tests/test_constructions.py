@@ -22,14 +22,13 @@ from apnlab.constructions import (
     pair_lift,
     quadratic_concat_criterion,
     random_ea_triple,
-    split_pair,
     switch,
     table1_functions,
     table1_maps,
     th31_criterion,
     th31_witness,
 )
-from apnlab import constructions
+from apnlab import vbf
 from apnlab.field import field_for
 from apnlab.search import enumerate_subspaces
 from apnlab.vbf import VBF, LinearMap, inverse_function, power_function
@@ -39,6 +38,7 @@ from _oracles import (
     oracle_coset_minima,
     oracle_exp_sum_lhs,
     oracle_is_apn,
+    split_pair,
 )
 
 
@@ -503,11 +503,14 @@ class TestAdmissibleSums:
         spec = field_for(n)
         F = power_function(spec, 3)
         calls = []
-        wht = constructions._wht_rows
-        monkeypatch.setattr(constructions, "_wht_rows",
+        wht = vbf._wht_rows
+        monkeypatch.setattr(vbf, "_wht_rows",
                             lambda v: calls.append(v.shape) or wht(v))
         trace_dec = CosetDecomposition.from_subfield_trace(spec)
-        for dec in (trace_dec, enumerate_subspaces(n, 2, 1, seed=n)[0]):
+        decs = [trace_dec, enumerate_subspaces(n, 2, 1, seed=n)[0]]
+        if n == 6:
+            decs += enumerate_subspaces(6, 2, 5, seed=4)
+        for dec in decs:
             adm = admissible_sums(F, dec)
             for s in range(1 << n):
                 assert (s in adm) == coset_modify(F, dec, (0, 0, 0, s)).is_apn()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apnlab.constructions import CosetDecomposition, th31_criterion
+from apnlab.constructions import th31_criterion
 from apnlab.field import field_for
 from apnlab.search import (
     SplitMix64,
@@ -13,7 +13,6 @@ from apnlab.search import (
     exp_sum_crosscheck,
     linear_map_from_index,
     map_space_size,
-    search_coset_constants,
     search_tr_l,
     t0_basis,
     th31_crosscheck,
@@ -221,40 +220,6 @@ class TestCrossChecks:
     def test_exp_sum_exhaustive_n4(self):
         rep = exp_sum_crosscheck(field_for(4))
         assert rep.agrees and rep.examined == 1 << 16
-
-
-class TestCosetConstants:
-    def test_n8_report(self):
-        spec = field_for(8)
-        F = power_function(spec, 3)
-        dec = CosetDecomposition.from_subfield_trace(spec)
-        rep = search_coset_constants(F, dec)
-        _, w, w2 = spec.cube_roots_of_unity()
-        assert rep.admissible == frozenset({0, 1, w, w2})
-        assert (0, 0, 0, 0) in rep.sample_tuples
-        assert len(rep.sample_tuples) == 4
-
-    def test_disagreeing_sum_raises_named_error(self, monkeypatch):
-        import apnlab.search as search
-
-        spec = field_for(6)
-        F = power_function(spec, 3)
-        dec = enumerate_subspaces(6, 2, 1, seed=4)[0]
-        monkeypatch.setattr(search, "coset_modify",
-                            lambda F, dec, consts: power_function(spec, 7))
-        with pytest.raises(VerificationError):
-            search_coset_constants(F, dec)
-
-    def test_n6_random_subspace_tuples_verified(self):
-        spec = field_for(6)
-        F = power_function(spec, 3)
-        from apnlab.constructions import coset_modify
-
-        for dec in enumerate_subspaces(6, 2, 5, seed=4):
-            rep = search_coset_constants(F, dec)
-            assert all(t[0] == t[1] == t[2] == 0 for t in rep.sample_tuples)
-            for t in rep.sample_tuples:
-                assert coset_modify(F, dec, t).is_apn()
 
 
 # enumerate_subspaces(5, codim, count, seed): the hyperplane functionals

@@ -1,5 +1,6 @@
-"""The benchmark's tracer patches apnlab functions by name; every name it
-lists must resolve, so that a rename fails here and not in a traced run."""
+"""Names that code outside the package looks up on it must resolve, so
+that a rename or a deletion fails here and not in a traced run or an
+import: the names the benchmark's tracer patches, and `apnlab.__all__`."""
 import sys
 from pathlib import Path
 
@@ -26,3 +27,10 @@ def test_every_traced_name_resolves_and_is_restored():
         tracer.uninstall()
         for owner, attr, value in descriptors:
             setattr(owner, attr, value)
+
+
+def test_every_exported_name_resolves():
+    import apnlab
+
+    assert len(set(apnlab.__all__)) == len(apnlab.__all__)
+    assert [n for n in apnlab.__all__ if not hasattr(apnlab, n)] == []

@@ -21,6 +21,7 @@ from _oracles import (
     oracle_anf_coeffs,
     oracle_ddt,
     oracle_degree,
+    oracle_flat_counts,
     oracle_is_apn,
     oracle_uniformity,
     oracle_walsh,
@@ -150,15 +151,65 @@ class TestFourSums:
             assert set(F.dstar_set()) == oracle_four_sum_values(F.table, n), (n, m)
 
     def test_totals_beyond_int64_rejected_before_ddt_work(self, monkeypatch):
-        import apnlab.vbf as vbf
+        class NoGather(np.ndarray):
+            def __getitem__(self, key):
+                raise AssertionError("gather started")
 
-        def no_ddt(*args):
-            raise AssertionError("DDT work started")
-
-        monkeypatch.setattr(vbf, "_derivative_counts", no_ddt)
+        monkeypatch.setattr(VBF, "as_array",
+                            lambda self: np.zeros(len(self.table), np.int64).view(NoGather))
         F = VBF(16, 15, (0,) * (1 << 16))  # 3n + m = 63
         with pytest.raises(ValueError, match="3n \\+ m"):
             F.dstar_set()
+
+
+class TestFlatCounts:
+    """The flat-count kernel under dstar_set and admissible_sums against
+    the triple enumeration in _oracles."""
+
+    @staticmethod
+    def _cases(n, rng):
+        """(left, dirs, right): the whole space with every direction, a
+        random set against itself, two random sets, and a single
+        direction."""
+        xs = np.arange(1 << n)
+
+        def pick():
+            return np.array(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+
+        same = pick()
+        return [(xs, xs[1:], xs), (same, pick(), same),
+                (pick(), pick(), pick()), (pick(), pick()[:1], pick())]
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 1), (5, 4)])
+    @pytest.mark.parametrize("block", [1 << 14, 1 << 6])
+    def test_matches_oracle(self, n, m, block, monkeypatch):
+        import apnlab.vbf as vbf
+
+        monkeypatch.setattr(vbf, "_BLOCK", block)  # 1 << 6: two directions a block at n = 5
+        rng = random.Random(100 * n + m + block)
+        F = _random_function(n, m, rng.randrange(1 << 30))
+        for left, dirs, right in self._cases(n, rng):
+            got = vbf._flat_counts(F.as_array(), m, left, dirs, right)
+            want = oracle_flat_counts(F.table, m, left.tolist(), dirs.tolist(), right.tolist())
+            assert got.tolist() == [c << m for c in want], (left, dirs, right)
+
+    def test_directions_run_in_blocks(self, monkeypatch):
+        import apnlab.vbf as vbf
+
+        calls = []
+        wht = vbf._wht_rows
+        monkeypatch.setattr(vbf, "_wht_rows", lambda v: calls.append(v.shape) or wht(v))
+        monkeypatch.setattr(vbf, "_BLOCK", 1 << 6)
+        F = _random_function(5, 4, 7)
+        xs = np.arange(32)
+        for left, right in ((xs, xs), (xs[:20], xs[5:])):
+            calls.clear()
+            got = vbf._flat_counts(F.as_array(), 4, left, xs[1:], right)
+            want = oracle_flat_counts(F.table, 4, left.tolist(), range(1, 32), right.tolist())
+            assert got.tolist() == [c << 4 for c in want]
+            # 31 directions, two a block, one or two count rows each
+            per = 1 if left is right else 2
+            assert [cols for _, cols in calls[:-1]] == [2 * per] * 15 + [per]
 
 
 class TestLinearMaps:
@@ -196,7 +247,8 @@ class TestLinearMaps:
 
 class TestProjection:
     def test_project_is_apn_matches_direct(self):
-        from apnlab.vbf import project, project_is_apn
+        from apnlab.vbf import project_is_apn
+        from _oracles import project
 
         f = field_for(5)
         F = power_function(f, 3)
@@ -206,7 +258,8 @@ class TestProjection:
             assert project_is_apn(F, P) == composed.is_apn()
 
     def test_project_is_apn_matches_direct_on_non_apn_tables(self):
-        from apnlab.vbf import project, project_is_apn
+        from apnlab.vbf import project_is_apn
+        from _oracles import project
 
         # 0 is in every kernel, and in D* exactly when F is not APN, so
         # even the identity projection is decided right
@@ -263,7 +316,8 @@ def test_affine_function_profile():
 class TestProjectionCriterion:
     def test_agrees_on_all_single_kernel_projections_of_45_apn(self):
         from apnlab.constructions import inverse_extension
-        from apnlab.vbf import project, project_is_apn
+        from apnlab.vbf import project_is_apn
+        from _oracles import project
 
         F = inverse_extension(field_for(4))  # (4,5)-APN
         assert F.is_apn()
