@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 import time
 from functools import cache
@@ -22,9 +23,14 @@ from .constructions import (
     coset_modify,
     concat_is_apn,
     concatenate,
+    decompose_to_4uniform,
+    ea_transform,
+    exp_sum_condition,
     hyperplane_modify,
+    inverse_extension,
     nyberg_root_count,
     nyberg_roots,
+    random_ea_triple,
     switch,
     table1_functions,
     th31_criterion,
@@ -38,9 +44,14 @@ from .invariants import (
     gamma_rank,
     invariant_bundle,
 )
-from .io import FormatError, read_lin1, read_vbf1, write_vbf1
-from .search import VerificationError, exp_sum_crosscheck, search_tr_l
-from .vbf import VBF, from_univariate, power_function
+from .io import read_lin1, read_vbf1, write_vbf1
+from .search import (
+    VerificationError,
+    exp_sum_crosscheck,
+    search_tr_l,
+    th31_crosscheck,
+)
+from .vbf import VBF, LinearMap, from_univariate, power_function
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,104 +65,108 @@ def _parse_hex(s: str) -> int:
 class _Checks:
     """Accumulates pass/fail lines for verify-style reports."""
 
-    def __init__(self, out):
-        self.out = out
+    def __init__(self):
         self.failed = 0
 
     def check(self, label: str, ok: bool, detail: str = "") -> None:
         if not ok:
             self.failed += 1
         tail = f"  ({detail})" if detail else ""
-        print(f"[{'PASS' if ok else 'FAIL'}] {label}{tail}", file=self.out)
-
-    def exit_code(self) -> int:
-        return EXIT_OK if self.failed == 0 else EXIT_FAIL
+        print(f"[{'PASS' if ok else 'FAIL'}] {label}{tail}")
 
 
 # -- analyze ---------------------------------------------------------------
 
-def cmd_analyze(args, out=None) -> int:
-    out = out or sys.stdout
-    try:
-        with open(args.path) as fh:
-            F = read_vbf1(fh)
-    except FormatError as e:
-        print(f"error: {args.path}: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if F.n == F.m:
-        try:
-            F = VBF(F.n, F.m, F.table, spec=field_for(F.n, args.modulus))
-        except ValueError:
-            pass
-    print(f"n: {F.n}", file=out)
-    print(f"m: {F.m}", file=out)
+def cmd_analyze(args) -> int:
+    F = _read_vbf(args.path)
+    print(f"n: {F.n}")
+    print(f"m: {F.m}")
     uniformity = F.uniformity()
     apn = uniformity <= 2
     degree = F.algebraic_degree()
-    print(f"uniformity: {uniformity}", file=out)
-    print(f"APN: {str(apn).lower()}", file=out)
-    print(f"algebraic degree: {degree}", file=out)
-    print(f"quadratic: {str(degree <= 2).lower()}", file=out)
+    print(f"uniformity: {uniformity}")
+    print(f"APN: {str(apn).lower()}")
+    print(f"algebraic degree: {degree}")
+    print(f"quadratic: {str(degree <= 2).lower()}")
     ws = F.walsh_spectrum()
     hist = ", ".join(f"{v}:{c}" for v, c in ws.values)
-    print(f"walsh histogram: {hist}", file=out)
+    print(f"walsh histogram: {hist}")
     if F.n == F.m and F.n % 2 == 0 and F.n >= 4 and apn:
         classical = ws.magnitudes() == classical_spectrum(F.n).magnitudes()
         verdict = "classical" if classical else "non-classical"
-        print(f"spectrum: {verdict}", file=out)
+        print(f"spectrum: {verdict}")
     return EXIT_OK
 
 
 # -- verify ----------------------------------------------------------------
 
-def _verify_table1(args, out) -> int:
-    ck = _Checks(out)
-    spec = field_for(6)
-    funcs = table1_functions(spec)
-    classical = classical_spectrum(6).magnitudes()
+def _verify_table1(args, ck: _Checks) -> None:
+    """The 13 degree-6 functions, their spectra and Gamma-ranks."""
+    funcs = table1_functions(field_for(6))
+    classical = classical_spectrum(6)
     for i, G in enumerate(funcs, start=1):
         ck.check(f"G_{i} APN and quadratic", G.is_apn() and G.is_quadratic())
+    ranks = []
     for i, G in enumerate(funcs, start=1):
         ws = G.walsh_spectrum()
-        rank = f"Gamma-rank {gamma_rank(G)}"
+        ranks.append(gamma_rank(G))
+        rank = f"Gamma-rank {ranks[-1]}"
         if i == 7:
             ck.check(
                 "G_7 non-classical with value set {0, +/-8, +/-16, +/-32}",
-                ws.magnitudes() != classical
+                ws.magnitudes() != classical.magnitudes()
                 and ws.value_set() == {0, 8, -8, 16, -16, 32, -32},
                 rank,
             )
         else:
-            ck.check(f"G_{i} spectrum classical", ws.magnitudes() == classical, rank)
-    return ck.exit_code()
+            ck.check(f"G_{i} spectrum classical", ws == classical, rank)
+    seed = 20240817
+    rng = random.Random(seed)
+    moved = [gamma_rank(ea_transform(funcs[0], *random_ea_triple(6, 6, rng)))
+             for _ in range(20)]
+    ck.check(f"Gamma-rank of G_1 = x^3 unchanged under 20 EA transforms, "
+             f"seed {seed}", moved == ranks[:1] * 20, f"rank {ranks[0]}")
 
 
-def _verify_theorem35(args, out) -> int:
+def _verify_theorem31(args, ck: _Checks) -> None:
+    """The hit counts 448 and 4608, and the kernel criterion vs APN."""
+    for n, count in ((4, 448), (5, 4608)):
+        hits = search_tr_l(field_for(n), workers=4).hits
+        ck.check(f"n={n}: {hits} maps make x^3 + Tr(x)L(x) APN", hits == count)
+    rep = th31_crosscheck(field_for(4))
+    ck.check(f"n=4: criterion <=> APN on {rep.agreements}/{rep.examined} maps, "
+             f"{rep.criterion_hits} hits",
+             rep.agrees and rep.examined == 1 << 12 and rep.criterion_hits == 448)
+    seed = 20240817
+    rep = th31_crosscheck(field_for(5), samples=10000, seed=seed)
+    ck.check(f"n=5: criterion <=> APN on {rep.agreements}/{rep.examined} "
+             f"maps, seed {seed}", rep.agrees and rep.examined == 10000)
+
+
+def _verify_theorem35(args, ck: _Checks) -> None:
     n = args.n if args.n is not None else 4
     if n not in (3, 4):
-        print("error: exhaustive criterion check supports n in {3, 4}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    ck = _Checks(out)
+        raise ValueError("exhaustive criterion check supports n in {3, 4}")
     rep = exp_sum_crosscheck(field_for(n))
     ck.check(
         f"criterion <=> APN on {rep.agreements}/{rep.examined} maps",
-        rep.agrees,
+        rep.agrees and rep.examined == 1 << (n * n),
         f"{rep.criterion_hits} hits, {rep.seconds:.1f}s",
     )
-    return ck.exit_code()
+    for k in (4, 5, 6):
+        lhs, holds = exp_sum_condition(LinearMap.zero(k, k), field_for(k))
+        ck.check(f"n={k}: zero map gives {lhs} = 2^{k - 1} - 1",
+                 holds and lhs == (1 << (k - 1)) - 1)
 
 
-def _verify_example_n8(args, out) -> int:
+def _verify_example_n8(args, ck: _Checks) -> None:
     """The degree-8 coset example; --long adds the two ranks (~1 min each)."""
-    ck = _Checks(out)
     spec = field_for(8)
     cube = power_function(spec, 3)
     dec = CosetDecomposition.from_subfield_trace(spec)
     _, w, w2 = spec.cube_roots_of_unity()
+    ck.check("cube roots of unity are g^85 and g^170",
+             w == spec.gpow(85) and w2 == spec.gpow(170))
     adm = admissible_sums(cube, dec)
     ck.check("admissible sums = {0, 1, g^85, g^170}",
              adm == frozenset({0, 1, w, w2}))
@@ -166,7 +181,7 @@ def _verify_example_n8(args, out) -> int:
              G.table == closed)
     ck.check("modified function is APN", G.is_apn())
     if not args.long:
-        return ck.exit_code()
+        return
     t0 = time.monotonic()
     rF = gamma_rank(cube)
     ck.check("rank of x^3 incidence matrix = 11818", rF == 11818,
@@ -175,11 +190,9 @@ def _verify_example_n8(args, out) -> int:
     rG = gamma_rank(G)
     ck.check("rank of modified incidence matrix = 13842", rG == 13842,
              f"got {rG}, {time.monotonic() - t0:.0f}s")
-    return ck.exit_code()
 
 
-def _verify_nyberg(args, out) -> int:
-    ck = _Checks(out)
+def _verify_nyberg(args, ck: _Checks) -> None:
     for n in (4, 6):
         spec = field_for(n)
         _, w, w2 = spec.cube_roots_of_unity()
@@ -193,30 +206,73 @@ def _verify_nyberg(args, out) -> int:
         roots = set(nyberg_roots(spec, a, spec.inv(a)))
         ck.check(f"n={n}: b=1/a root set is {{0, a, wa, w^2 a}}",
                  roots == {0, a, spec.mul(w, a), spec.mul(w2, a)})
-    return ck.exit_code()
+
+
+def _verify_concat(args, ck: _Checks) -> None:
+    """The concatenation criterion vs APN around the (4, 5) inverse."""
+    base = inverse_extension(field_for(4)).table
+    seed = 20240817
+    rng = random.Random(seed)
+
+    def perturbed() -> VBF:
+        t = list(base)
+        for _ in range(rng.randrange(4)):
+            t[rng.randrange(16)] ^= 1 << rng.randrange(5)
+        return VBF(4, 5, tuple(t))
+
+    pairs = [(perturbed(), perturbed()) for _ in range(1000)]
+    disagreements = sum(concat_is_apn(f, g)[0] != concatenate(f, g).is_apn()
+                        for f, g in pairs)
+    ck.check(f"concatenation criterion <=> direct APN test on {len(pairs)} "
+             f"pairs, seed {seed}", disagreements == 0,
+             f"{disagreements} disagreements")
+
+
+def _verify_switching(args, ck: _Checks) -> None:
+    """The extended inverse, and the 4-uniform decomposition of x^3."""
+    for n in (4, 6):
+        F = inverse_extension(field_for(n))
+        ck.check(f"n={n}: extended inverse is an APN ({n}, {F.m})-function",
+                 F.m == n + 1 and F.is_apn())
+    for n in (4, 5, 6):
+        f = power_function(field_for(n), 3)
+        d = decompose_to_4uniform(f)
+        rebuilt = tuple(
+            v ^ (d.u if gb else 0) for v, gb in zip(d.f1.table, d.g.table))
+        ck.check(f"n={n}: x^3 = f1 + g*u with f1 4-uniform",
+                 d.uniformity == d.f1.uniformity() == 4 and rebuilt == f.table,
+                 f"u = {d.u:#x}")
 
 
 _VERIFY_TARGETS = {
     "table1": _verify_table1,
+    "theorem31": _verify_theorem31,
     "theorem35": _verify_theorem35,
     "example-n8": _verify_example_n8,
     "nyberg": _verify_nyberg,
+    "concat": _verify_concat,
+    "switching": _verify_switching,
 }
 
 
-def cmd_verify(args, out=None) -> int:
-    out = out or sys.stdout
-    return _VERIFY_TARGETS[args.target](args, out)
+def cmd_verify(args) -> int:
+    ck = _Checks()
+    _VERIFY_TARGETS[args.target](args, ck)
+    return EXIT_OK if ck.failed == 0 else EXIT_FAIL
 
 
 # -- construct -------------------------------------------------------------
 
 def _read_vbf(path: str, spec: Optional[FieldSpec] = None) -> VBF:
+    """Read a vbf1 table; a parse or decoding error names the path."""
     with open(path) as fh:
-        return read_vbf1(fh, spec)
+        try:
+            return read_vbf1(fh, spec)
+        except ValueError as e:  # FormatError, UnicodeDecodeError
+            raise ValueError(f"{path}: {e}") from None
 
 
-def _emit(args, G: VBF, cert: dict, out) -> None:
+def _emit(args, G: VBF, cert: dict) -> None:
     with open(args.out, "w") as fh:
         write_vbf1(fh, G)
     text = json.dumps(cert, indent=2)
@@ -224,19 +280,10 @@ def _emit(args, G: VBF, cert: dict, out) -> None:
         with open(args.cert, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text, file=out)
+        print(text)
 
 
-def cmd_construct(args, out=None) -> int:
-    out = out or sys.stdout
-    try:
-        return _construct_dispatch(args, out)
-    except (OSError, ValueError) as e:  # FormatError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-def _construct_dispatch(args, out) -> int:
+def cmd_construct(args) -> int:
     if args.kind == "hmod":
         spec = field_for(args.n, args.modulus)
         F = power_function(spec, 3) if args.f is None else _read_vbf(args.f, spec)
@@ -291,39 +338,30 @@ def _construct_dispatch(args, out) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown construction {args.kind!r}")
     if holds != G.is_apn():
-        print(f"error: the {args.kind} certificate (holds={str(holds).lower()}) "
-              "disagrees with the direct APN test", file=sys.stderr)
-        return EXIT_FAIL
-    _emit(args, G, cert, out)
+        raise VerificationError(
+            f"the {args.kind} certificate (holds={str(holds).lower()}) "
+            "disagrees with the direct APN test")
+    _emit(args, G, cert)
     return EXIT_OK
 
 
 # -- search ----------------------------------------------------------------
 
-def cmd_search(args, out=None) -> int:
-    out = out or sys.stdout
-    spec = field_for(args.n, args.modulus)
-    try:
-        rep = search_tr_l(
-            spec,
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-            workers=args.workers,
-            cap=args.cap,
-            long_ok=args.long,
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+def cmd_search(args) -> int:
+    rep = search_tr_l(
+        field_for(args.n, args.modulus),
+        mode=args.mode,
+        samples=args.samples,
+        seed=args.seed,
+        workers=args.workers,
+        cap=args.cap,
+        long_ok=args.long,
+    )
     d = rep.to_dict()
     if args.out_format == "json":
-        print(json.dumps(d, indent=2), file=out)
+        print(json.dumps(d, indent=2))
     else:
-        w = csv.writer(out)
+        w = csv.writer(sys.stdout)
         w.writerow(list(d.keys()))
         w.writerow([";".join(map(str, v)) if isinstance(v, list) else v
                     for v in d.values()])
@@ -332,41 +370,25 @@ def cmd_search(args, out=None) -> int:
 
 # -- rank ------------------------------------------------------------------
 
-def cmd_rank(args, out=None) -> int:
+def cmd_rank(args) -> int:
     """One path: print the incidence rank.  Two paths: compare invariant
     bundles and print an inequivalence verdict (never equivalence)."""
-    out = out or sys.stdout
     if len(args.paths) > 2:
-        print("error: rank takes one or two paths", file=sys.stderr)
-        return EXIT_USAGE
-    funcs = []
-    for path in args.paths:
-        try:
-            funcs.append((path, _read_vbf(path)))
-        except FormatError as e:
-            print(f"error: {path}: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        raise ValueError("rank takes one or two paths")
+    funcs = [(path, _read_vbf(path)) for path in args.paths]
     for path, F in funcs:
         if F.n + F.m > MAX_RANK_SIDE_BITS:
-            print(f"error: {path}: matrix side 2^{F.n + F.m} exceeds the "
-                  f"2^{MAX_RANK_SIDE_BITS} budget", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"{path}: matrix side 2^{F.n + F.m} exceeds the "
+                             f"2^{MAX_RANK_SIDE_BITS} budget")
         if F.n + F.m > 12 and not args.long:
-            print("error: matrices above side 2^12 need --long",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("matrices above side 2^12 need --long")
     if len(funcs) == 1:
         _, F = funcs[0]
-        print(json.dumps({"n": F.n, "m": F.m, "gamma_rank": gamma_rank(F)}),
-              file=out)
+        print(json.dumps({"n": F.n, "m": F.m, "gamma_rank": gamma_rank(F)}))
         return EXIT_OK
     (pf, F), (pg, G) = funcs
     if (F.n, F.m) != (G.n, G.m):
-        print("error: functions have different dimensions", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("functions have different dimensions")
     bf, bg = invariant_bundle(F), invariant_bundle(G)
     verdict = distinguish(F, G, bf, bg)
     print(json.dumps({
@@ -379,7 +401,7 @@ def cmd_rank(args, out=None) -> int:
         ],
         "provably_inequivalent": verdict.provably_inequivalent,
         "separating_invariant": verdict.invariant,
-    }, indent=2), file=out)
+    }, indent=2))
     return EXIT_OK
 
 
@@ -397,8 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="report properties of a vbf1 table")
     sp.add_argument("path")
-    sp.add_argument("--modulus", type=_parse_hex, default=None,
-                    help="irreducible modulus as a hex bitmask (e.g. 11d)")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify", help="run reference verification targets")
@@ -463,23 +483,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_settings(args) -> None:
     """Validate the settings shared across subcommands before dispatch."""
     n = getattr(args, "n", None)
-    if n is not None and not 2 <= n <= 16:
+    if n is None:
+        return
+    if not 2 <= n <= 16:
         raise ValueError(f"field degree {n} out of range [2, 16]")
-    if getattr(args, "workers", 1) < 1:
-        raise ValueError("worker count must be positive")
-    if n is not None:  # checks the modulus against the degree
-        field_for(n, getattr(args, "modulus", None))
+    field_for(n, getattr(args, "modulus", None))  # checks the modulus
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; errors end with a one-line `error: ...` on stderr."""
+    args = build_parser().parse_args(argv)
     try:
         _check_settings(args)
-    except ValueError as e:
+        return args.func(args)
+    except VerificationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except (OSError, ValueError) as e:  # FormatError, UnicodeDecodeError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

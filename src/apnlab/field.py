@@ -263,11 +263,17 @@ class FieldSpec:
 def field_for(n: int, modulus: int | None = None, generator: int | None = None) -> FieldSpec:
     """The field of degree n: paper presets for n in {6, 8}, otherwise
     the smallest primitive modulus; searches for a generator if needed.
-    Memoised, so each field builds its tables once per process."""
+    Memoised on the arguments as given, and on the resolved field, so each
+    field builds its tables once per process however it is asked for."""
     if modulus is None:
         modulus = PRESET_MODULI.get(n) or smallest_primitive_modulus(n)
     if generator is None:
         generator = _find_generator(n, modulus)
+    return _field(n, modulus, generator)
+
+
+@cache
+def _field(n: int, modulus: int, generator: int) -> FieldSpec:
     return FieldSpec(n=n, modulus=modulus, generator=generator)
 
 

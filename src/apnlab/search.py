@@ -255,6 +255,8 @@ def search_tr_l(spec: FieldSpec,
     indices.  Hits are spot-checked against the direct APN test (all hits
     for degree <= 5, 1 in 100 above).
     """
+    if workers < 1:
+        raise ValueError("worker count must be positive")
     if cap < 0:
         raise ValueError(f"cap {cap} must be non-negative")
     if samples < 0:

@@ -1,205 +1,135 @@
-"""Acceptance suite: one test per headline requirement, each printing a
-single PASS/FAIL line.  Time budgets are asserted where the requirement
-pins one.  Run with --runlong to include the expensive degree-8 rank
-ground truth.
+"""Acceptance suite: each paper claim is re-derived by one `apnlab verify`
+target, run here through `cli.main`.  A claim holds when its target exits
+0 with no FAIL line and prints the expected number of PASS lines, and when
+the claim's own PASS lines carry the pinned numbers and were printed
+within the claim's time budget.  Run with --runlong to include the
+degree-8 rank ground truth.
 """
-import random
+import contextlib
+import re
 import time
+from functools import cache
 
 import pytest
 
-from apnlab.constructions import (
-    CosetDecomposition,
-    admissible_sums,
-    coset_modify,
-    concat_is_apn,
-    concatenate,
-    decompose_to_4uniform,
-    ea_transform,
-    exp_sum_condition,
-    inverse_extension,
-    nyberg_root_count,
-    nyberg_roots,
-    random_ea_triple,
-    table1_functions,
-)
-from apnlab.field import field_for
-from apnlab.invariants import classical_spectrum, gamma_rank
-from apnlab.search import exp_sum_crosscheck, search_tr_l, th31_crosscheck
-from apnlab.vbf import VBF, LinearMap, from_univariate, power_function
+from apnlab import cli
 
-from _oracles import oracle_is_apn
+# Gamma-ranks of G_1 ... G_13 over F_2^6 with modulus 0x5b
+TABLE1_RANKS = [1102, 1170, 1146, 1158, 1166, 1168, 1170, 1172, 1174, 1170,
+                1172, 1166, 1170]
+
+# PASS lines each `verify` call prints
+PASSES = {("table1",): 27, ("theorem31",): 4, ("theorem35",): 4,
+          ("example-n8",): 4, ("example-n8", "--long"): 6, ("nyberg",): 4,
+          ("concat",): 1, ("switching",): 5}
 
 
-def _report(label, ok, detail=""):
-    tail = f"  ({detail})" if detail else ""
-    print(f"\nACCEPTANCE {label}: {'PASS' if ok else 'FAIL'}{tail}")
-    assert ok, f"{label} failed: {detail}"
+class _StampedLines:
+    """A stdout stand-in that notes when each line was completed."""
+
+    def __init__(self):
+        self.lines, self._tail = [], ""
+
+    def write(self, text):
+        *done, self._tail = (self._tail + text).split("\n")
+        now = time.monotonic()
+        self.lines += [(now, line) for line in done]
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@cache
+def _verify(*argv):
+    """Run `apnlab verify *argv` once per process; return the exit code and
+    the output lines, each with the seconds since the line before it (the
+    first since the start)."""
+    out = _StampedLines()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", *argv])
+    stamps = [start] + [t for t, _ in out.lines]
+    return code, [(line, t - stamps[i]) for i, (t, line) in enumerate(out.lines)]
+
+
+def _claim(argv, pattern, count, budget=None):
+    """Assert one claim of `apnlab verify *argv`: its `count` PASS lines
+    match `pattern`, come one after another, and took under `budget`
+    seconds together.  Returns those lines."""
+    code, lines = _verify(*argv)
+    text = "\n".join(line for line, _ in lines)
+    assert code == 0 and "[FAIL]" not in text, text
+    assert text.count("[PASS]") == PASSES[argv], text
+    picked = [i for i, (line, _) in enumerate(lines)
+              if re.match(rf"\[PASS\] (?:{pattern})", line)]
+    assert len(picked) == count and picked[-1] - picked[0] == count - 1, text
+    seconds = sum(lines[i][1] for i in picked)
+    assert budget is None or seconds < budget, f"{seconds:.1f}s >= {budget}s"
+    return [lines[i][0] for i in picked]
 
 
 def test_01_table1_functions_apn_and_quadratic():
-    t0 = time.monotonic()
-    funcs = table1_functions(field_for(6))
-    ok = len(funcs) == 13 and all(
-        G.is_apn() and G.is_quadratic() for G in funcs)
-    dt = time.monotonic() - t0
-    _report("1 (thirteen modified functions APN+quadratic)",
-            ok and dt < 5.0, f"{dt:.2f}s < 5s")
+    _claim(("table1",), r"G_\d+ APN and quadratic$", 13, budget=5)
 
 
 def test_02_spectra_classical_except_seventh():
-    t0 = time.monotonic()
-    funcs = table1_functions(field_for(6))
-    classical = classical_spectrum(6)
-    others_ok = all(
-        G.walsh_spectrum() == classical
-        for i, G in enumerate(funcs, start=1) if i != 7)
-    g7 = funcs[6].walsh_spectrum()
-    g7_ok = g7 != classical and g7.value_set() == {0, 8, -8, 16, -16, 32, -32}
-    dt = time.monotonic() - t0
-    _report("2 (spectra: 12 classical, seventh has value set 0,±8,±16,±32)",
-            others_ok and g7_ok and dt < 5.0, f"{dt:.2f}s < 5s")
+    lines = _claim(("table1",), r"G_\d+ spectrum classical |G_7 non-classical "
+                   r"with value set \{0, \+/-8, \+/-16, \+/-32\} ", 13, budget=5)
+    assert [int(re.search(r"Gamma-rank (\d+)\)$", line)[1])
+            for line in lines] == TABLE1_RANKS
+    assert [line.split()[1] for line in lines if "non-classical" in line] \
+        == ["G_7"]
 
 
 def test_03_exhaustive_hit_counts_448_and_4608():
-    t4 = time.monotonic()
-    r4 = search_tr_l(field_for(4), workers=4)
-    dt4 = time.monotonic() - t4
-    t5 = time.monotonic()
-    r5 = search_tr_l(field_for(5), workers=4)
-    dt5 = time.monotonic() - t5
-    ok = r4.hits == 448 and r5.hits == 4608 and dt4 < 60 and dt5 < 60
-    _report("3 (exhaustive counts 448 at n=4, 4608 at n=5, 4 in-process ranges)",
-            ok, f"{r4.hits}/{r5.hits} hits, {dt4:.1f}s/{dt5:.1f}s < 60s")
+    _claim(("theorem31",), r"n=4: 448 maps |n=5: 4608 maps ", 2, budget=60)
 
 
 def test_04_kernel_criterion_equals_brute_force():
-    r4 = th31_crosscheck(field_for(4))
-    r5 = th31_crosscheck(field_for(5), samples=10000, seed=20240817)
-    ok = r4.agrees and r4.examined == 1 << 12 and r5.agrees \
-        and r5.examined >= 10000
-    _report("4 (kernel criterion <=> APN: exhaustive n=4, 10^4 sampled n=5)",
-            ok, f"{r4.agreements}/{r4.examined} and {r5.agreements}/{r5.examined}")
+    _claim(("theorem31",), r"n=4: criterion <=> APN on 4096/4096 maps, 448 hits$"
+           r"|n=5: criterion <=> APN on 10000/10000 maps, seed 20240817$", 2)
 
 
 def test_05_exponential_sum_criterion_equals_brute_force():
-    t0 = time.monotonic()
-    rep = exp_sum_crosscheck(field_for(4))
-    lhs_ok = all(
-        exp_sum_condition(LinearMap.zero(n, n), field_for(n))[0]
-        == (1 << (n - 1)) - 1
-        for n in (4, 5, 6))
-    dt = time.monotonic() - t0
-    ok = rep.agrees and rep.examined == 1 << 16 and lhs_ok and dt < 600
-    _report("5 (exponential-sum criterion <=> APN on all 2^16 maps, "
-            "zero-map value 2^(n-1)-1)",
-            ok, f"{rep.agreements}/{rep.examined}, {dt:.1f}s < 600s")
+    _claim(("theorem35",), r"criterion <=> APN on 65536/65536 maps "
+           r"|n=4: zero map gives 7 |n=5: zero map gives 15 "
+           r"|n=6: zero map gives 31 ", 4, budget=600)
 
 
 def test_06_coset_modification_degree8_example():
-    t0 = time.monotonic()
-    spec = field_for(8)
-    cube = power_function(spec, 3)
-    dec = CosetDecomposition.from_subfield_trace(spec)
-    _, w, w2 = spec.cube_roots_of_unity()
-    adm_ok = admissible_sums(cube, dec) == frozenset({0, 1, w, w2}) \
-        and w == spec.gpow(85) and w2 == spec.gpow(170)
-    G = coset_modify(cube, dec, (0, 0, w2, 1))
-    closed = tuple(
-        v ^ (spec.mul(w, spec.trace_to_subfield(x, 2))
-             if spec.trace_absolute(x) else 0)
-        for x, v in enumerate(from_univariate(spec, [(1, 3)]).table))
-    table_ok = G.table == closed and G.is_apn()
-    dt = time.monotonic() - t0
-    _report("6 (degree-8 coset example: admissible sums and closed form)",
-            adm_ok and table_ok and dt < 30, f"{dt:.1f}s < 30s")
+    _claim(("example-n8",), r"cube roots of unity are g\^85 and g\^170$"
+           r"|admissible sums = \{0, 1, g\^85, g\^170\}$"
+           r"|modified table equals x\^3 \+ g\^85\*Tr_1\(x\)\*Tr_2\(x\)$"
+           r"|modified function is APN$", 4, budget=30)
 
 
 def test_07_rank_invariance_under_ea_transforms():
-    t0 = time.monotonic()
-    F = power_function(field_for(6), 3)
-    base = gamma_rank(F)
-    rng = random.Random(20240817)
-    ranks = []
-    for _ in range(20):
-        a1, a2, a3 = random_ea_triple(6, 6, rng)
-        ranks.append(gamma_rank(ea_transform(F, a1, a2, a3)))
-    dt = time.monotonic() - t0
-    ok = all(r == base for r in ranks) and dt < 120
-    _report("7-fast (rank invariant under 20 EA transforms at n=6)",
-            ok, f"rank {base}, {dt:.1f}s < 120s")
+    _claim(("table1",), r"Gamma-rank of G_1 = x\^3 unchanged under 20 EA "
+           r"transforms, seed 20240817  \(rank 1102\)$", 1, budget=120)
 
 
 @pytest.mark.long
 def test_07_long_rank_ground_truth_degree8():
-    spec = field_for(8)
-    cube = power_function(spec, 3)
-    rF = gamma_rank(cube)
-    dec = CosetDecomposition.from_subfield_trace(spec)
-    _, w, w2 = spec.cube_roots_of_unity()
-    G = coset_modify(cube, dec, (0, 0, w2, 1))
-    rG = gamma_rank(G)
-    _report("7-long (degree-8 incidence ranks 11818 and 13842)",
-            rF == 11818 and rG == 13842, f"got {rF} and {rG}")
+    _claim(("example-n8", "--long"), r"rank of x\^3 incidence matrix = 11818 "
+           r"|rank of modified incidence matrix = 13842 ", 2)
 
 
 def test_08_inverse_derivative_root_counts():
-    ok = True
-    for n in (4, 6):
-        spec = field_for(n)
-        _, w, w2 = spec.cube_roots_of_unity()
-        for a in range(1, spec.size):
-            for b in range(spec.size):
-                if nyberg_root_count(spec, a, b) != len(nyberg_roots(spec, a, b)):
-                    ok = False
-        a = spec.generator
-        if set(nyberg_roots(spec, a, spec.inv(a))) != {
-                0, a, spec.mul(w, a), spec.mul(w2, a)}:
-            ok = False
-    _report("8 (inverse-derivative root counts at n=4 and n=6)", ok)
+    _claim(("nyberg",), r"n=[46]: predicted root counts match enumeration$"
+           r"|n=[46]: b=1/a root set is \{0, a, wa, w\^2 a\}$", 4)
 
 
 def test_09_concatenation_criterion_equals_brute_force():
-    base = inverse_extension(field_for(4))
-    rng = random.Random(20240817)
-    disagreements = 0
-    for _ in range(1000):
-        t1 = list(base.table)
-        t2 = list(base.table)
-        for _ in range(rng.randrange(4)):
-            t1[rng.randrange(16)] ^= 1 << rng.randrange(5)
-        for _ in range(rng.randrange(4)):
-            t2[rng.randrange(16)] ^= 1 << rng.randrange(5)
-        f = VBF(4, 5, tuple(t1))
-        g = VBF(4, 5, tuple(t2))
-        ok, _w = concat_is_apn(f, g)
-        if ok != concatenate(f, g).is_apn():
-            disagreements += 1
-    _report("9 (concatenation criterion <=> direct test on 1000 seeded pairs)",
-            disagreements == 0, f"{disagreements} disagreements")
+    _claim(("concat",), r"concatenation criterion <=> direct APN test on 1000 "
+           r"pairs, seed 20240817  \(0 disagreements\)$", 1)
 
 
 def test_10_inverse_extension_apn():
-    t0 = time.monotonic()
-    ok = True
-    for n in (4, 6):
-        F = inverse_extension(field_for(n))
-        if not (F.m == n + 1 and F.is_apn()
-                and oracle_is_apn(F.table, n, n + 1)):
-            ok = False
-    dt = time.monotonic() - t0
-    _report("10 (extended inverse is APN as an (n, n+1)-function)",
-            ok and dt < 10, f"{dt:.1f}s < 10s")
+    _claim(("switching",), r"n=4: extended inverse is an APN \(4, 5\)-function$"
+           r"|n=6: extended inverse is an APN \(6, 7\)-function$", 2, budget=10)
 
 
 def test_11_decomposition_roundtrip():
-    ok = True
-    for n in (4, 5, 6):
-        f = power_function(field_for(n), 3)
-        d = decompose_to_4uniform(f)
-        rebuilt = tuple(
-            v ^ (d.u if gb else 0) for v, gb in zip(d.f1.table, d.g.table))
-        if not (d.f1.uniformity() == 4 and rebuilt == f.table):
-            ok = False
-    _report("11 (4-uniform decomposition of the cube function round-trips)",
-            ok)
+    _claim(("switching",), r"n=[456]: x\^3 = f1 \+ g\*u with f1 4-uniform ",
+           3)

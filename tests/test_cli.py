@@ -1,4 +1,3 @@
-import io
 import json
 
 import jsonschema
@@ -90,33 +89,17 @@ class TestAnalyze:
         assert code == 2
 
 
-class TestVerify:
-    def test_table1_passes(self, capsys):
-        from test_invariants import TABLE1_RANKS
-
-        code, out, _ = _run(capsys, "verify", "table1")
-        assert code == 0
-        assert out.count("[PASS]") == 26 and "[FAIL]" not in out
-        spectra = out.splitlines()[13:]
-        assert [int(line.split("Gamma-rank ")[1].rstrip(")"))
-                for line in spectra] == TABLE1_RANKS
-        assert [line.split()[1] for line in spectra
-                if "non-classical" in line] == ["G_7"]
-
-    def test_nyberg_passes(self, capsys):
-        code, out, _ = _run(capsys, "verify", "nyberg")
-        assert code == 0 and "[FAIL]" not in out
-
-    def test_theorem35_n4(self, capsys):
-        code, out, _ = _run(capsys, "verify", "theorem35", "--n", "4")
-        assert code == 0
-        assert "65536/65536" in out
-
-    def test_example_n8_without_long_runs_the_table_checks(self, capsys):
-        code, out, _ = _run(capsys, "verify", "example-n8")
-        assert code == 0
-        assert out.count("[PASS]") == 3 and "[FAIL]" not in out
-        assert "rank" not in out
+@pytest.mark.parametrize("command", [
+    ["analyze", "{bad}"], ["rank", "{bad}"],
+    ["construct", "switch", "--f", "{bad}", "--g", "{bad}", "--u", "1",
+     "--out", "{out}"]], ids=["analyze", "rank", "construct-switch"])
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.vbf1"
+    bad.write_bytes(b"2 2\n\xff\xfe 0 1 1\n")
+    argv = [a.format(bad=bad, out=tmp_path / "o.vbf1") for a in command]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
 
 
 class TestConstruct:
@@ -381,6 +364,7 @@ class TestFieldMemo:
 
     def test_two_coset_calls_build_the_log_tables_once(self, tmp_path, capsys,
                                                        monkeypatch):
+        from apnlab import field
         from apnlab.field import FieldSpec
 
         builds = []
@@ -389,6 +373,7 @@ class TestFieldMemo:
         monkeypatch.setattr(tables, "func",
                             lambda spec: builds.append(spec.n) or real(spec))
         field_for.cache_clear()
+        field._field.cache_clear()
         for k in range(2):
             code, _, _ = _run(capsys, "construct", "coset", "--n", "8",
                               "--consts", "0,0,g^170,1",

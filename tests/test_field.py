@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from apnlab.field import (
@@ -167,6 +167,10 @@ class TestModuli:
         # 1 never generates the multiplicative group for n >= 2
         with pytest.raises(ValueError):
             FieldSpec(4, 0b10011, generator=1)
+
+    def test_default_and_explicit_arguments_share_one_field(self):
+        assert field_for(8) is field_for(8, None) is field_for(8, 0x11D)
+        assert field_for(5) is field_for(5, 0x25, 2)
 
     def test_generator_has_full_order(self):
         for n in (3, 4, 5, 6, 8):

@@ -67,8 +67,10 @@ class TestEncoding:
 
 class TestTrLSearch:
     def test_exhaustive_counts(self):
-        assert search_tr_l(field_for(4)).hits == 448
-        assert search_tr_l(field_for(5)).hits == 4608
+        # the counts in a second polynomial basis; `verify theorem31`
+        # checks them in the default one
+        assert search_tr_l(field_for(4, 0x19)).hits == 448
+        assert search_tr_l(field_for(5, 0x29)).hits == 4608
 
     def test_count_independent_of_workers(self):
         r1 = search_tr_l(field_for(4), workers=1, cap=500)
@@ -109,6 +111,11 @@ class TestTrLSearch:
         for h in rep.hit_list:
             L = linear_map_from_index(spec, h)
             assert hyperplane_modify(cube, L).is_apn()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            search_tr_l(field_for(4), workers=workers)
 
     def test_random_mode_needs_seed(self):
         with pytest.raises(ValueError):
@@ -209,8 +216,10 @@ def test_degree7_exhaustive_count_on_two_processes():
 
 
 class TestCrossChecks:
+    # the n = 4 cross-checks run in a second polynomial basis; `verify
+    # theorem31` and `verify theorem35` run them in the default one
     def test_th31_exhaustive_n4(self):
-        rep = th31_crosscheck(field_for(4))
+        rep = th31_crosscheck(field_for(4, 0x19))
         assert rep.agrees and rep.criterion_hits == 448
 
     def test_th31_sampled_n5(self):
@@ -218,7 +227,7 @@ class TestCrossChecks:
         assert rep.agrees and rep.examined == 10000
 
     def test_exp_sum_exhaustive_n4(self):
-        rep = exp_sum_crosscheck(field_for(4))
+        rep = exp_sum_crosscheck(field_for(4, 0x19))
         assert rep.agrees and rep.examined == 1 << 16
 
 
