@@ -7,7 +7,6 @@ from .field import FieldSpec, field_for, PRESET_MODULI
 from .vbf import (
     VBF,
     AffineMap,
-    DifferentialProfile,
     LinearMap,
     WalshSpectrum,
     from_univariate,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FieldSpec", "field_for", "PRESET_MODULI",
-    "VBF", "AffineMap", "DifferentialProfile", "LinearMap", "WalshSpectrum",
+    "VBF", "AffineMap", "LinearMap", "WalshSpectrum",
     "from_univariate", "inverse_function", "power_function",
     "projection_killing",
     "FormatError", "read_lin1", "read_vbf1", "write_lin1", "write_vbf1",

@@ -159,10 +159,6 @@ class FieldSpec:
 
     # -- field operations ----------------------------------------------
 
-    @staticmethod
-    def add(x: int, y: int) -> int:
-        return x ^ y
-
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
@@ -250,31 +246,29 @@ class FieldSpec:
 
     def parse_element(self, s: str) -> int:
         s = s.strip()
-        if s.startswith("g^"):
-            x = self.gpow(int(s[2:]))
-        else:
-            x = int(s, 16)
+        try:
+            x = self.gpow(int(s[2:])) if s.startswith("g^") else int(s, 16)
+        except ValueError:
+            raise ValueError(f"bad element {s!r}") from None
         if not 0 <= x < self.size:
             raise ValueError(f"element {s!r} out of range for degree {self.n}")
         return x
 
 
 @cache
-def field_for(n: int, modulus: int | None = None, generator: int | None = None) -> FieldSpec:
+def field_for(n: int, modulus: int | None = None) -> FieldSpec:
     """The field of degree n: paper presets for n in {6, 8}, otherwise
-    the smallest primitive modulus; searches for a generator if needed.
+    the smallest primitive modulus; its generator is the smallest one.
     Memoised on the arguments as given, and on the resolved field, so each
     field builds its tables once per process however it is asked for."""
     if modulus is None:
         modulus = PRESET_MODULI.get(n) or smallest_primitive_modulus(n)
-    if generator is None:
-        generator = _find_generator(n, modulus)
-    return _field(n, modulus, generator)
+    return _field(n, modulus)
 
 
 @cache
-def _field(n: int, modulus: int, generator: int) -> FieldSpec:
-    return FieldSpec(n=n, modulus=modulus, generator=generator)
+def _field(n: int, modulus: int) -> FieldSpec:
+    return FieldSpec(n=n, modulus=modulus, generator=_find_generator(n, modulus))
 
 
 def _find_generator(n: int, modulus: int) -> int:

@@ -71,10 +71,10 @@ def classical_spectrum(n: int) -> WalshSpectrum:
     return WalshSpectrum.from_counter(counts)
 
 
-def is_classical(F: VBF) -> bool:
-    if F.n != F.m or F.n % 2 != 0:
-        raise ValueError("classical spectra are defined for (n, n), even n")
-    return F.walsh_spectrum().magnitudes() == classical_spectrum(F.n).magnitudes()
+def is_classical(ws: WalshSpectrum, n: int) -> bool:
+    """Whether the absolute values of the spectrum ws are those of the
+    classical spectrum of dimension n (even n >= 4)."""
+    return ws.magnitudes() == classical_spectrum(n).magnitudes()
 
 
 @dataclass(frozen=True)

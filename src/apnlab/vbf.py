@@ -4,12 +4,12 @@ the symmetric form B_F, the four-sum value set D_F*, and linear
 projections with the kernel-intersection APN criterion.
 
 Three numpy kernels carry the whole-table work.  `_derivative_counts`
-yields blocks of DDT rows, for the APN test and the DDT.  `_wht_rows` is
-a Walsh-Hadamard transform, for the Walsh spectrum and the flat counts.
-`_flat_counts` counts the F-sums over the 2-flats {x, x+t, y, y+t} with
-x, t and y in three point sets, for D_F* and the admissible coset sums.
-The GF(2) helpers `_insert`, `gf2_rank` and `_xor_span` serve the other
-modules too.
+yields blocks of DDT rows, for the APN test, the uniformity and the DDT.
+`_wht_rows` is a Walsh-Hadamard transform, for the Walsh spectrum and
+the flat counts.  `_flat_counts` counts the F-sums over the 2-flats
+{x, x+t, y, y+t} with x, t and y in three point sets, for D_F* and the
+admissible coset sums.  The GF(2) helpers `_insert`, `gf2_rank` and
+`_xor_span` serve the other modules too.
 """
 from __future__ import annotations
 
@@ -132,13 +132,6 @@ def projection_killing(m: int, k: int) -> LinearMap:
 
 
 @dataclass(frozen=True)
-class DifferentialProfile:
-    uniformity: int
-    ddt: np.ndarray
-    witness: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class WalshSpectrum:
     """Multiset of Walsh values over all (a, b) with b != 0."""
 
@@ -165,11 +158,6 @@ class WalshSpectrum:
         for v, k in self.values:
             c[abs(v)] += k
         return WalshSpectrum.from_counter(c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WalshSpectrum):
-            return NotImplemented
-        return self.values == other.values
 
 
 @dataclass(frozen=True)
@@ -205,21 +193,20 @@ class VBF:
 
     # -- differential analysis ------------------------------------------
 
-    def ddt(self) -> DifferentialProfile:
-        """The whole DDT, with its uniformity (largest entry off a = 0)
-        and the first (a, b) in row order that attains it."""
+    def ddt(self) -> np.ndarray:
+        """The (2^n, 2^m) table of #{x : F(x + a) + F(x) = b}."""
         size = 1 << self.n
         rows = np.zeros((size, 1 << self.m), dtype=np.int64)
         rows[0, 0] = size
         for a0, c in _derivative_counts(self.as_array(), self.n, self.m, _BLOCK):
             rows[a0:a0 + len(c)] = c
-        if size == 1:  # no nonzero direction
-            return DifferentialProfile(0, rows, (0, 0))
-        a_w, b_w = divmod(int(rows[1:].argmax()), rows.shape[1])
-        return DifferentialProfile(int(rows[a_w + 1, b_w]), rows, (a_w + 1, b_w))
+        return rows
 
     def uniformity(self) -> int:
-        return self.ddt().uniformity
+        """The largest DDT entry off a = 0, read block by block; 0 when
+        n = 0, where there is no nonzero direction."""
+        blocks = _derivative_counts(self.as_array(), self.n, self.m, _BLOCK)
+        return max((int(c.max()) for _, c in blocks), default=0)
 
     def is_apn(self) -> bool:
         """Every derivative takes each value at most twice.  Stops at the
@@ -231,40 +218,34 @@ class VBF:
 
     # -- Walsh transform -------------------------------------------------
 
-    def walsh_at(self, a: int, b: int) -> int:
-        if self.spec is not None and self.n == self.m:
-            spec = self.spec
-            tr = spec.trace_absolute
-            mul = spec.mul
-            return sum(
-                -1 if (tr(mul(b, self.table[x])) ^ tr(mul(a, x))) else 1
-                for x in range(1 << self.n)
-            )
-        return sum(
-            -1 if ((b & self.table[x]).bit_count() ^ (a & x).bit_count()) & 1 else 1
-            for x in range(1 << self.n)
-        )
-
     def walsh_spectrum(self) -> WalshSpectrum:
         """Multiset of W(a, b) over all a and all b != 0.
 
         This is one fast Walsh-Hadamard transform of the 2^n x 2^m graph
         indicator, with the bit dot product pairing.  Row x of the
         indicator is one-hot at F(x), so its transform along y is
-        S[x, b] = (-1)^(b . F(x)); S is built by doubling its columns one
-        output bit at a time, and only the n passes along x remain.  With
-        a bound field, Tr(b*y) = M_b . y for a mask M_b and b -> M_b is a
-        bijection (likewise for a), so the multiset is the same under the
-        trace pairing that `walsh_at` uses.
+        S[x, b] = (-1)^(b . F(x)), and only the n passes along x remain.
+        They run on blocks of 2^lo columns, about 2 _BLOCK int32 values
+        (the bytes of one int64 block of the other kernels) each: for
+        b = h 2^lo + c with c < 2^lo, S[x, b] is the product of the sign
+        spans of F(x) over its low lo bits (at c) and its other bits (at h).
+        Transforming the whole S at n = 8 freed arrays of 256 KB that
+        glibc handed back and refaulted on every call.  With a bound field,
+        Tr(b*y) = M_b . y for a mask M_b and b -> M_b is a bijection
+        (likewise for a), so the multiset is the same under the trace
+        pairing W(a, b) = sum_x (-1)^(Tr(b F(x)) + Tr(a x)).
         """
         size = 1 << self.n
         T = self.as_array()
-        signs = np.ones((size, 1), dtype=np.int32)
-        for j in range(self.m):
-            bit = (1 - 2 * ((T >> j) & 1)).astype(np.int32)
-            signs = np.hstack([signs, signs * bit[:, None]])
-        w = _wht_rows(signs)[:, 1:]
-        counts = np.bincount((w + size).ravel(), minlength=2 * size + 1)
+        lo = min(self.m, max(0, (2 * _BLOCK >> self.n).bit_length() - 1))
+        bits = [(T >> j) & 1 for j in range(self.m)]
+        low = 1 - 2 * _xor_span(bits[:lo], (size,), np.int32)
+        counts = np.zeros(2 * size + 1, dtype=np.int64)
+        for high in _xor_span(bits[lo:], (size,), np.int32).T:
+            w = _wht_rows(low * (1 - 2 * high)[:, None])
+            w += size
+            counts += np.bincount(w.ravel(), minlength=2 * size + 1)
+        counts[[2 * size, size]] -= [1, size - 1]  # b = 0: W(0, 0) = 2^n, else 0
         vals = np.flatnonzero(counts)
         return WalshSpectrum(tuple(
             (int(v) - size, int(c)) for v, c in zip(vals, counts[vals])))

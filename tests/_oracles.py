@@ -47,16 +47,6 @@ def oracle_walsh(table, n: int, m: int, a: int, b: int) -> int:
     return s
 
 
-def oracle_walsh_field(table, spec, a: int, b: int) -> int:
-    """Character sum with the trace pairing <u, v> = Tr(uv)."""
-    s = 0
-    for x in range(spec.size):
-        e = spec.trace_absolute(spec.mul(a, x)) ^ spec.trace_absolute(
-            spec.mul(b, table[x]))
-        s += -1 if e else 1
-    return s
-
-
 def oracle_anf_coeffs(table, n: int):
     """ANF coefficients by direct interpolation: c_u = sum of F over the
     subcube below u."""

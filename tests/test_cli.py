@@ -92,7 +92,9 @@ class TestAnalyze:
 @pytest.mark.parametrize("command", [
     ["analyze", "{bad}"], ["rank", "{bad}"],
     ["construct", "switch", "--f", "{bad}", "--g", "{bad}", "--u", "1",
-     "--out", "{out}"]], ids=["analyze", "rank", "construct-switch"])
+     "--out", "{out}"],
+    ["construct", "hmod", "--n", "4", "--map", "{bad}", "--out", "{out}"]],
+    ids=["analyze", "rank", "construct-switch", "construct-hmod-map"])
 def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
     bad = tmp_path / "bad.vbf1"
     bad.write_bytes(b"2 2\n\xff\xfe 0 1 1\n")
@@ -100,6 +102,16 @@ def test_non_utf8_input_exits_2_with_one_line(tmp_path, capsys, command):
     code, out, err = _run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+
+
+def test_bad_lin1_element_names_path_and_line(tmp_path, capsys):
+    lp = tmp_path / "L.lin1"
+    lp.write_text("4\n0 zz\n")
+    code, out, err = _run(capsys, "construct", "hmod", "--n", "4", "--map",
+                          str(lp), "--out", str(tmp_path / "o.vbf1"))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {lp}: line 2:")
+    assert "'zz'" in err and "invalid literal" not in err
 
 
 class TestConstruct:

@@ -136,13 +136,6 @@ class TestCubeRoots:
         assert one == 1 and w != 1 and w2 == f.sqr(w)
         assert f.pow(w, 3) == 1
 
-    def test_n8_roots_are_g85_g170(self):
-        f = field_for(8)
-        one, w, w2 = f.cube_roots_of_unity()
-        assert {one, w, w2} == {1, f.gpow(85), f.gpow(170)}
-        assert w ^ w2 ^ 1 == 0  # roots of x^2 + x + 1
-        assert f.mul(w, w) == w2 and f.mul(w, w2) == 1
-
     def test_odd_degree_has_no_nontrivial_cube_roots(self):
         f = field_for(5)
         with pytest.raises(ValueError):
@@ -170,7 +163,7 @@ class TestModuli:
 
     def test_default_and_explicit_arguments_share_one_field(self):
         assert field_for(8) is field_for(8, None) is field_for(8, 0x11D)
-        assert field_for(5) is field_for(5, 0x25, 2)
+        assert field_for(5) is field_for(5, 0x25)
 
     def test_generator_has_full_order(self):
         for n in (3, 4, 5, 6, 8):
@@ -193,7 +186,7 @@ class TestFormatting:
 
     def test_bad_element_rejected(self):
         f = field_for(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bad element 'g\^x'$"):
             f.parse_element("g^x")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bad element 'zz'$"):
             f.parse_element("zz")

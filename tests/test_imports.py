@@ -1,5 +1,7 @@
-"""No module imports a name it never uses.  Package `__init__` files
-re-export by importing, and a line marked `# noqa` is exempt."""
+"""Static checks on the sources.  No module imports a name it never
+uses: package `__init__` files re-export by importing, and a line marked
+`# noqa` is exempt.  The library has no `assert` statement, because
+`python -O` strips them; its runtime checks raise explicitly."""
 import ast
 from pathlib import Path
 
@@ -24,3 +26,11 @@ def test_no_unused_imports():
     paths = [p for pattern in ("src/apnlab/*.py", "tests/*.py")
              for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def test_no_assert_in_library():
+    found = [f"{p.relative_to(ROOT)}:{node.lineno}"
+             for p in sorted(ROOT.glob("src/apnlab/*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

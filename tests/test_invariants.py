@@ -86,11 +86,11 @@ class TestClassicalSpectrum:
     def test_total_count_and_cube_is_classical(self, n):
         ws = classical_spectrum(n)
         assert ws.total == (1 << n) * ((1 << n) - 1)
-        assert is_classical(power_function(field_for(n), 3))
+        assert is_classical(power_function(field_for(n), 3).walsh_spectrum(), n)
 
     def test_seventh_modified_function_is_not_classical(self):
         funcs = table1_functions(field_for(6))
-        flags = [is_classical(G) for G in funcs]
+        flags = [is_classical(G.walsh_spectrum(), 6) for G in funcs]
         assert flags[6] is False
         assert all(flags[:6]) and all(flags[7:])
 
@@ -98,7 +98,7 @@ class TestClassicalSpectrum:
         F = power_function(field_for(6), 3)
         G = VBF(6, 6, tuple(v ^ 1 for v in F.table), spec=F.spec)
         assert G.walsh_spectrum() != F.walsh_spectrum()
-        assert is_classical(G)
+        assert is_classical(G.walsh_spectrum(), 6)
         assert distinguish(F, G).invariant is None
 
     def test_odd_dimension_rejected(self):
