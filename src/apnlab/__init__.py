@@ -19,7 +19,6 @@ from .constructions import (
     CosetDecomposition,
     Decomposition,
     HyperplaneSpec,
-    SwitchSpec,
     admissible_sums,
     coset_criterion,
     coset_modify,
@@ -66,7 +65,7 @@ __all__ = [
     "from_univariate", "inverse_function", "power_function",
     "projection_killing",
     "FormatError", "read_lin1", "read_vbf1", "write_lin1", "write_vbf1",
-    "CosetDecomposition", "Decomposition", "HyperplaneSpec", "SwitchSpec",
+    "CosetDecomposition", "Decomposition", "HyperplaneSpec",
     "admissible_sums", "coset_criterion", "coset_modify", "concat_is_apn",
     "concatenate", "decompose_to_4uniform", "ea_transform",
     "exp_sum_condition", "h_equivalence_witness", "hyperplane_modify",

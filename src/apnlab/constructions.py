@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FieldSpec
+from .field import PRESET_MODULI, FieldSpec
 from .vbf import (
     VBF, AffineMap, LinearMap, _flat_counts, _insert, _xor_span, gf2_rank,
     inverse_function, power_function,
@@ -32,33 +32,18 @@ def pair_lift(f: VBF, g: VBF) -> VBF:
     return VBF(f.n, f.m + 1, table)
 
 
-@dataclass(frozen=True)
-class SwitchSpec:
-    """Base (n, m+1)-function split as (f, g) plus a direction u."""
-
-    f: VBF
-    g: VBF
-    u: int
-
-    def __post_init__(self):
-        if self.g.m != 1 or self.g.n != self.f.n:
-            raise ValueError("g must be a Boolean function on the same domain")
-        if not 0 < self.u < (1 << self.f.m):
-            raise ValueError("direction u must be a nonzero m-bit value")
-
-    @cached_property
-    def combined(self) -> VBF:
-        return pair_lift(self.f, self.g)
-
-
-def switch(sw: SwitchSpec) -> tuple[VBF, bool]:
-    """f + u*g together with the four-sum certificate; the certificate is
-    true exactly when the switched function is APN."""
-    if not sw.combined.is_apn():
+def switch(f: VBF, g: VBF, u: int) -> tuple[VBF, bool]:
+    """f + u*g for a Boolean g and a nonzero direction u, together with the
+    four-sum certificate; the (n, m+1)-function (f, g) must be APN, and the
+    certificate is true exactly when the switched function is APN."""
+    combined = pair_lift(f, g)
+    if not 0 < u < (1 << f.m):
+        raise ValueError("direction u must be a nonzero m-bit value")
+    if not combined.is_apn():
         raise ValueError("the combined (n, m+1)-function must be APN")
-    cert = ((sw.u << 1) | 1) not in sw.combined.dstar_set()
-    table = tuple(fv ^ (sw.u if gv else 0) for fv, gv in zip(sw.f.table, sw.g.table))
-    return VBF(sw.f.n, sw.f.m, table, spec=sw.f.spec), cert
+    cert = ((u << 1) | 1) not in combined.dstar_set()
+    table = tuple(fv ^ (u if gv else 0) for fv, gv in zip(f.table, g.table))
+    return VBF(f.n, f.m, table, spec=f.spec), cert
 
 
 @dataclass(frozen=True)
@@ -388,8 +373,6 @@ _TABLE1_LOGS = [
     [42, 21, 4, 56, 17, 20],
     [42, 21, None, 27, 34, 52],
 ]
-
-from .field import PRESET_MODULI  # noqa: E402  (constant, no cycle)
 
 
 def table1_maps(spec: FieldSpec) -> list[LinearMap]:

@@ -3,8 +3,9 @@
 Field elements are plain ints in [0, 2^n): bit i is the coordinate of
 alpha^i, where alpha is a root of the modulus polynomial.  0 and 1 encode
 the additive and multiplicative identities, and addition is xor.  A
-:class:`FieldSpec` carries the modulus and a multiplicative generator and
-owns log/antilog tables, traces to subfields and the cube roots of unity.
+:class:`FieldSpec` is fixed by its modulus; it derives the smallest
+primitive element as its generator and owns log/antilog tables, traces to
+subfields and the cube roots of unity.
 """
 from __future__ import annotations
 
@@ -66,15 +67,18 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def _is_primitive(g: int, modulus: int) -> bool:
+    """Whether g generates the multiplicative group of F_2[x]/(modulus),
+    for an irreducible modulus."""
+    order = (1 << _pdeg(modulus)) - 1
+    return all(_powmod_poly(g, order // p, modulus) != 1 for p in _prime_factors(order))
+
+
 def smallest_primitive_modulus(n: int) -> int:
     """Lexicographically smallest degree-n polynomial that is irreducible
     with x a generator of the multiplicative group."""
-    order = (1 << n) - 1
-    factors = _prime_factors(order)
     for mod in range((1 << n) + 1, 1 << (n + 1), 2):
-        if not is_irreducible(mod):
-            continue
-        if all(_powmod_poly(2, order // p, mod) != 1 for p in factors):
+        if is_irreducible(mod) and _is_primitive(2, mod):
             return mod
     raise ValueError(f"no primitive polynomial of degree {n}")  # pragma: no cover
 
@@ -95,7 +99,6 @@ class FieldSpec:
 
     n: int
     modulus: int
-    generator: int = 2
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_DEGREE:
@@ -104,13 +107,6 @@ class FieldSpec:
             raise ValueError(f"modulus 0x{self.modulus:x} does not have degree {self.n}")
         if not is_irreducible(self.modulus):
             raise ValueError(f"modulus 0x{self.modulus:x} is reducible")
-        if not 0 < self.generator < self.order + 1:
-            raise ValueError("generator out of range")
-        ord_g = self.element_order(self.generator)
-        if ord_g != self.order:
-            raise ValueError(
-                f"generator 0x{self.generator:x} has order {ord_g}, expected {self.order}"
-            )
 
     @property
     def size(self) -> int:
@@ -121,20 +117,11 @@ class FieldSpec:
         """Order of the multiplicative group, 2^n - 1."""
         return (1 << self.n) - 1
 
-    # -- raw arithmetic (no tables) ------------------------------------
-
-    def mul_raw(self, x: int, y: int) -> int:
-        """Product via carryless multiplication and modulus reduction."""
-        return _pmulmod(x, y, self.modulus)
-
-    def element_order(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        ord_ = self.order
-        for p in _prime_factors(self.order):
-            while ord_ % p == 0 and _powmod_poly(x, ord_ // p, self.modulus) == 1:
-                ord_ //= p
-        return ord_
+    @cached_property
+    def generator(self) -> int:
+        """The smallest primitive element; 0x2, alpha itself, whenever the
+        modulus is primitive."""
+        return next(g for g in range(2, self.size) if _is_primitive(g, self.modulus))
 
     # -- log/antilog tables --------------------------------------------
 
@@ -146,7 +133,7 @@ class FieldSpec:
         for k in range(self.order):
             exp[k] = v
             log[v] = k
-            v = self.mul_raw(v, self.generator)
+            v = _pmulmod(v, self.generator, self.modulus)
         return tuple(exp), tuple(log)
 
     @property
@@ -190,16 +177,8 @@ class FieldSpec:
 
     @cached_property
     def trace_mask(self) -> int:
-        mask = 0
-        for i in range(self.n):
-            x = 1 << i
-            t = 0
-            for _ in range(self.n):
-                t ^= x
-                x = self.mul_raw(x, x)
-            # t is Tr(alpha^i), in {0, 1}
-            mask |= t << i
-        return mask
+        """Bit i is Tr(alpha^i), so Tr(x) is the parity of x & trace_mask."""
+        return sum(self.trace_to_subfield(1 << i, 1) << i for i in range(self.n))
 
     def trace_absolute(self, x: int) -> int:
         """Absolute trace Tr(x) = sum of x^(2^i), a bit."""
@@ -266,15 +245,4 @@ def field_for(n: int, modulus: int | None = None) -> FieldSpec:
     return _field(n, modulus)
 
 
-@cache
-def _field(n: int, modulus: int) -> FieldSpec:
-    return FieldSpec(n=n, modulus=modulus, generator=_find_generator(n, modulus))
-
-
-def _find_generator(n: int, modulus: int) -> int:
-    order = (1 << n) - 1
-    factors = _prime_factors(order)
-    for g in range(2, 1 << n):
-        if all(_powmod_poly(g, order // p, modulus) != 1 for p in factors):
-            return g
-    raise ValueError(f"no generator found for modulus 0x{modulus:x}")  # pragma: no cover
+_field = cache(FieldSpec)

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .vbf import VBF, WalshSpectrum, _insert, gf2_rank  # noqa: F401 (gf2_rank re-exported)
+from .vbf import VBF, WalshSpectrum, _insert
 
 MAX_RANK_SIDE_BITS = 16  # incidence matrix side 2^(n+m)
 

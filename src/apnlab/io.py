@@ -47,7 +47,7 @@ def read_vbf1(fh: TextIO, spec: Optional[FieldSpec] = None) -> VBF:
     if any(not 0 <= v < (1 << m) for v in tokens):
         raise FormatError(2, f"value out of range for output dimension {m}")
     if spec is not None and spec.n != n:
-        spec = None
+        raise FormatError(1, f"table degree {n} does not match field degree {spec.n}")
     return VBF(n, m, tuple(tokens), spec=spec)
 
 

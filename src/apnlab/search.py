@@ -39,7 +39,7 @@ from .constructions import (
     hyperplane_modify,
     th31_criterion,
 )
-from .field import FieldSpec
+from .field import FieldSpec, field_for
 from .vbf import (
     LinearMap, _insert, _xor_span, gf2_rank, is_apn_batch, power_function,
 )
@@ -227,8 +227,8 @@ class _CubeKernel:
 
 
 def _scan_worker(args) -> tuple[int, list[int]]:
-    spec_fields, lo, hi, cap = args
-    return _CubeKernel(FieldSpec(*spec_fields)).scan(lo, hi, cap)
+    (n, modulus), lo, hi, cap = args
+    return _CubeKernel(field_for(n, modulus)).scan(lo, hi, cap)
 
 
 # Below this degree a whole exhaustive scan takes at most ~0.1 s, less than
@@ -271,7 +271,7 @@ def search_tr_l(spec: FieldSpec,
         bounds = [(spec.size * w) // workers for w in range(workers + 1)]
         ranges = list(zip(bounds, bounds[1:]))
         if workers > 1 and spec.n >= _POOL_MIN_DEGREE:
-            args = [((spec.n, spec.modulus, spec.generator), lo, hi, cap)
+            args = [((spec.n, spec.modulus), lo, hi, cap)
                     for lo, hi in ranges]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_worker, args))
@@ -321,7 +321,6 @@ class CrossCheckReport:
     examined: int
     agreements: int
     criterion_hits: int
-    oracle_hits: int
     seconds: float
 
     @property
@@ -393,15 +392,14 @@ def _crosscheck(spec: FieldSpec, space: str, blocks, constrained: bool,
     """criterion(indices, L tables) against the direct APN test of
     x^3 + Tr*L, one block of candidate indices at a time."""
     t0 = time.monotonic()
-    examined = agree = chits = ohits = 0
+    examined = agree = chits = 0
     for blk in blocks:
         ltabs = _full_l_tables(spec, blk, constrained)
         cmask, omask = criterion(blk, ltabs), _batch_modify_apn(spec, ltabs)
         examined += blk.size
         agree += int((cmask == omask).sum())
         chits += int(cmask.sum())
-        ohits += int(omask.sum())
-    return CrossCheckReport(space, examined, agree, chits, ohits, time.monotonic() - t0)
+    return CrossCheckReport(space, examined, agree, chits, time.monotonic() - t0)
 
 
 # -- subspace samplers -----------------------------------------------------

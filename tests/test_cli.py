@@ -114,6 +114,22 @@ def test_bad_lin1_element_names_path_and_line(tmp_path, capsys):
     assert "'zz'" in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("kind, n, table_n, extra", [
+    ("hmod", 8, 6, ["--map", "{lin}"]),
+    ("coset", 6, 8, ["--consts", "0,0,0,0"])], ids=["hmod", "coset"])
+def test_base_table_of_wrong_degree_exits_2_with_one_line(tmp_path, capsys, kind,
+                                                          n, table_n, extra):
+    lp = tmp_path / "L.lin1"
+    lp.write_text(f"{n}\n")
+    fp = _write_vbf(tmp_path, "F.vbf1", power_function(field_for(table_n), 3))
+    code, out, err = _run(capsys, "construct", kind, "--n", str(n), "--f", fp,
+                          *[a.format(lin=lp) for a in extra],
+                          "--out", str(tmp_path / "o.vbf1"))
+    assert code == 2 and out == ""
+    assert err == (f"error: {fp}: line 1: table degree {table_n} does not "
+                   f"match field degree {n}\n")
+
+
 class TestConstruct:
     def test_hmod_roundtrip(self, tmp_path, capsys, schema):
         spec = field_for(6)
@@ -358,6 +374,11 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["analyze", "x", "--bogus"])
+        assert e.value.code == 2
+
+    def test_verify_takes_no_degree(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "theorem35", "--n", "4"])
         assert e.value.code == 2
 
     def test_degree_out_of_range_exits_2(self, capsys):

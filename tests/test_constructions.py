@@ -5,7 +5,6 @@ import pytest
 from apnlab.constructions import (
     CosetDecomposition,
     HyperplaneSpec,
-    SwitchSpec,
     admissible_sums,
     coset_criterion,
     coset_modify,
@@ -42,21 +41,11 @@ from _oracles import (
 )
 
 
-def _apn_45_seed(seed=0):
-    """A (4,5)-APN function: the extended inverse function, optionally
-    relabeled by a seeded output permutation of the extra bit."""
-    F = inverse_extension(field_for(4))
-    if seed:
-        rng = random.Random(seed)
-        # flip the extra bit on a random APN-preserving... just return F
-    return F
-
-
 class TestSwitching:
     def test_zero_switch_reduces_to_base(self):
         f = power_function(field_for(4), 3)
         g = VBF(4, 1, (0,) * 16)
-        G, cert = switch(SwitchSpec(f, g, u=1))
+        G, cert = switch(f, g, u=1)
         assert G.table == f.table
         assert cert == f.is_apn() == True  # noqa: E712
 
@@ -64,7 +53,7 @@ class TestSwitching:
         F = inverse_extension(field_for(4))
         f, g = split_pair(F)
         for u in range(1, 16):
-            G, cert = switch(SwitchSpec(f, g, u))
+            G, cert = switch(f, g, u)
             assert cert == G.is_apn()
             assert cert == oracle_is_apn(G.table, 4, 4)
 
@@ -72,14 +61,14 @@ class TestSwitching:
         f = inverse_function(field_for(4))  # delta = 4
         g = VBF(4, 1, tuple(x & 1 for x in range(16)))
         with pytest.raises(ValueError):
-            switch(SwitchSpec(f, g, 1))
+            switch(f, g, 1)
 
     def test_switching_back_a_decomposition_recovers_the_cube(self):
         f = power_function(field_for(5), 3)
         d = decompose_to_4uniform(f)
         lifted = pair_lift(d.f1, d.g)
         assert lifted.is_apn()  # (f1, g) stays APN as a pair
-        G, cert = switch(SwitchSpec(d.f1, d.g, d.u))
+        G, cert = switch(d.f1, d.g, d.u)
         assert cert and G.table == f.table
         # the chosen direction breaks APN-ness of the original pair:
         # (u, 1) lies in the four-sum set of the lift of (f, g)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,7 +47,6 @@ class TestSampledLaws:
     @given(x=st.integers(0, 255), y=st.integers(0, 255))
     def test_log_tables_agree_with_polynomial_multiplication(self, f8, x, y):
         assert f8.mul(x, y) == poly_mul_mod(x, y, f8.modulus, f8.n)
-        assert f8.mul(x, y) == f8.mul_raw(x, y)
 
     @given(x=st.integers(0, 255), y=st.integers(0, 255), z=st.integers(0, 255))
     def test_distributivity_sampled(self, f8, x, y, z):
@@ -156,19 +157,23 @@ class TestModuli:
         with pytest.raises(ValueError):
             FieldSpec(4, 0b10101)  # (x^2+x+1)^2
 
-    def test_non_generator_rejected(self):
-        # 1 never generates the multiplicative group for n >= 2
-        with pytest.raises(ValueError):
-            FieldSpec(4, 0b10011, generator=1)
-
     def test_default_and_explicit_arguments_share_one_field(self):
         assert field_for(8) is field_for(8, None) is field_for(8, 0x11D)
         assert field_for(5) is field_for(5, 0x25)
 
-    def test_generator_has_full_order(self):
-        for n in (3, 4, 5, 6, 8):
-            f = field_for(n)
-            assert f.element_order(f.generator) == f.order
+    # x^4+x^3+x^2+x+1 and x^6+x^3+1 are irreducible, but x has order 5 and 9
+    @pytest.mark.parametrize("n, modulus", [
+        (3, None), (4, None), (5, None), (6, None), (8, None),
+        (4, 0b11111), (6, 0b1001001)],
+        ids=["n3", "n4", "n5", "n6", "n8", "n4-0x1f", "n6-0x49"])
+    def test_generator_has_full_order(self, n, modulus):
+        f = field_for(n, modulus)
+        assert sorted(f.antilog) == list(range(1, f.size))
+        assert (f.generator == 2) == (modulus is None)
+
+    def test_modulus_alone_fixes_the_field(self):
+        assert [f.name for f in dataclasses.fields(FieldSpec)] == ["n", "modulus"]
+        assert FieldSpec(4, 0b11111).generator == 3
 
 
 class TestFormatting:

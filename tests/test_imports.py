@@ -1,6 +1,7 @@
 """Static checks on the sources.  No module imports a name it never
-uses: package `__init__` files re-export by importing, and a line marked
-`# noqa` is exempt.  The library has no `assert` statement, because
+uses: package `__init__` files re-export by importing, and a test line
+marked `# noqa` is exempt.  The library's modules carry no `# noqa`, so
+every import there is checked, and no `assert` statement, because
 `python -O` strips them; its runtime checks raise explicitly."""
 import ast
 from pathlib import Path
@@ -26,6 +27,14 @@ def test_no_unused_imports():
     paths = [p for pattern in ("src/apnlab/*.py", "tests/*.py")
              for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def test_no_noqa_in_library():
+    found = [f"{p.relative_to(ROOT)}:{i}"
+             for p in sorted(ROOT.glob("src/apnlab/*.py")) if p.name != "__init__.py"
+             for i, line in enumerate(p.read_text().splitlines(), start=1)
+             if "# noqa" in line]
+    assert found == []
 
 
 def test_no_assert_in_library():

@@ -12,11 +12,10 @@ from apnlab.invariants import (
     classical_spectrum,
     distinguish,
     gamma_rank,
-    gf2_rank,
     invariant_bundle,
     is_classical,
 )
-from apnlab.vbf import VBF, power_function
+from apnlab.vbf import VBF, gf2_rank, power_function
 
 from _oracles import oracle_gamma_rank, oracle_gf2_rank
 

@@ -53,6 +53,11 @@ class TestVbf1:
         F = read_vbf1(io.StringIO("3 3\n0 1 2 3 4 5 6 7\n"), spec)
         assert F.spec is spec
 
+    def test_degree_mismatch_with_field(self):
+        with pytest.raises(FormatError, match="^line 1: table degree 3 does "
+                           "not match field degree 4$"):
+            read_vbf1(io.StringIO("3 3\n0 1 2 3 4 5 6 7\n"), field_for(4))
+
 
 class TestLin1:
     def test_roundtrip_hex_and_power(self):
