@@ -7,11 +7,9 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
-import time
 from functools import cache
 from typing import Optional
 
@@ -130,7 +128,7 @@ def _verify_table1(args, ck: _Checks) -> None:
 def _verify_theorem31(args, ck: _Checks) -> None:
     """The hit counts 448 and 4608, and the kernel criterion vs APN."""
     for n, count in ((4, 448), (5, 4608)):
-        hits = search_tr_l(field_for(n), workers=4).hits
+        hits = search_tr_l(field_for(n)).hits
         ck.check(f"n={n}: {hits} maps make x^3 + Tr(x)L(x) APN", hits == count)
     rep = th31_crosscheck(field_for(4))
     ck.check(f"n=4: criterion <=> APN on {rep.agreements}/{rep.examined} maps, "
@@ -148,7 +146,7 @@ def _verify_theorem35(args, ck: _Checks) -> None:
     ck.check(
         f"criterion <=> APN on {rep.agreements}/{rep.examined} maps",
         rep.agrees and rep.examined == 1 << 16,
-        f"{rep.criterion_hits} hits, {rep.seconds:.1f}s",
+        f"{rep.criterion_hits} hits",
     )
     for k in (4, 5, 6):
         lhs, holds = exp_sum_condition(LinearMap.zero(k, k), field_for(k))
@@ -179,14 +177,11 @@ def _verify_example_n8(args, ck: _Checks) -> None:
     ck.check("modified function is APN", G.is_apn())
     if not args.long:
         return
-    t0 = time.monotonic()
     rF = gamma_rank(cube)
-    ck.check("rank of x^3 incidence matrix = 11818", rF == 11818,
-             f"got {rF}, {time.monotonic() - t0:.0f}s")
-    t0 = time.monotonic()
+    ck.check("rank of x^3 incidence matrix = 11818", rF == 11818, f"got {rF}")
     rG = gamma_rank(G)
     ck.check("rank of modified incidence matrix = 13842", rG == 13842,
-             f"got {rG}, {time.monotonic() - t0:.0f}s")
+             f"got {rG}")
 
 
 def _verify_nyberg(args, ck: _Checks) -> None:
@@ -344,6 +339,9 @@ def cmd_construct(args) -> int:
 # -- search ----------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    # n = 7 and 8 take seconds to minutes; above 8 the kernel rejects n
+    if args.mode == "exhaustive" and args.n in (7, 8) and not args.long:
+        raise ValueError(f"exhaustive space 2^{args.n * (args.n - 1)} needs --long")
     rep = search_tr_l(
         field_for(args.n, args.modulus),
         mode=args.mode,
@@ -351,16 +349,8 @@ def cmd_search(args) -> int:
         seed=args.seed,
         workers=args.workers,
         cap=args.cap,
-        long_ok=args.long,
     )
-    d = rep.to_dict()
-    if args.out_format == "json":
-        print(json.dumps(d, indent=2))
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(list(d.keys()))
-        w.writerow([";".join(map(str, v)) if isinstance(v, list) else v
-                    for v in d.values()])
+    print(json.dumps(rep.to_dict(), indent=2))
     return EXIT_OK
 
 
@@ -458,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--cap", type=int, default=64)
-    sp.add_argument("--out", dest="out_format", choices=["json", "csv"],
-                    default="json")
     sp.add_argument("--modulus", type=_parse_hex, default=None)
     sp.add_argument("--long", action="store_true")
     sp.set_defaults(func=cmd_search)
@@ -478,11 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_settings(args) -> None:
     """Validate the settings shared across subcommands before dispatch."""
     n = getattr(args, "n", None)
-    if n is None:
-        return
-    if not 2 <= n <= 16:
-        raise ValueError(f"field degree {n} out of range [2, 16]")
-    field_for(n, getattr(args, "modulus", None))  # checks the modulus
+    if n is not None:
+        field_for(n, getattr(args, "modulus", None))  # checks n and the modulus
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .field import PRESET_MODULI, FieldSpec
 from .vbf import (
-    VBF, AffineMap, LinearMap, _flat_counts, _insert, _xor_span, gf2_rank,
-    inverse_function, power_function,
+    VBF, AffineMap, LinearMap, _derivative_counts, _flat_counts, _insert,
+    _xor_span, gf2_rank, inverse_function, power_function,
 )
 
 
@@ -161,38 +161,43 @@ ConcatWitness = tuple[int, int, int]  # (x, y, a)
 def concat_is_apn(f: VBF, g: VBF) -> tuple[bool, Optional[ConcatWitness]]:
     """Concatenation criterion: f and g APN, and no derivative value of f
     meets one of g at the same direction a.  Returns a witness (x, y, a)
-    with f(x+a)+f(x)+g(y+a)+g(y) = 0 when the second condition fails."""
+    with f(x+a)+f(x)+g(y+a)+g(y) = 0 when the second condition fails: the
+    smallest such a, the first y, and the smallest x for that y.  The
+    DDT rows of f and g are read block by block, up to the first direction
+    whose rows share a value."""
     if (f.n, f.m) != (g.n, g.m):
         raise ValueError("f and g must have identical dimensions")
     if not (f.is_apn() and g.is_apn()):
         return False, None
-    size = 1 << f.n
-    Tf, Tg = f.table, g.table
-    for a in range(1, size):
-        fd = {}
-        for x in range(size):
-            fd.setdefault(Tf[x ^ a] ^ Tf[x], x)
-        for y in range(size):
-            v = Tg[y ^ a] ^ Tg[y]
-            if v in fd:
-                return False, (fd[v], y, a)
+    Tf, Tg = f.as_array(), g.as_array()
+    blocks = zip(_derivative_counts(Tf, f.n, f.m, 1),
+                 _derivative_counts(Tg, g.n, g.m, 1))
+    for (a0, cf), (_, cg) in blocks:
+        shared = (cf > 0) & (cg > 0)
+        rows = np.flatnonzero(shared.any(axis=1))
+        if rows.size:
+            a = a0 + int(rows[0])
+            xs = np.arange(Tf.size)
+            dg = Tg[xs ^ a] ^ Tg
+            y = int(np.argmax(shared[rows[0], dg]))
+            x = int(np.argmax((Tf[xs ^ a] ^ Tf) == dg[y]))
+            return False, (x, y, a)
     return True, None
 
 
 def quadratic_concat_criterion(f: VBF, L: LinearMap, c: int) -> bool:
     """For quadratic APN f and g = f + L + c: the concatenation is APN iff
-    x -> L(x) + B_f(x, A) is injective for every A."""
+    x -> L(x) + B_f(x, A) is injective for every A, that is, iff no x != 0
+    has L(x) = B_f(x, A) for some A.  As A runs over F_2^n, B_f(x, A) runs
+    over the values of D_x f shifted by f(x) + f(0), so that reads one DDT
+    entry per x."""
     if not f.is_quadratic():
         raise ValueError("f must be quadratic")
     if L.n_in != f.n or L.n_out != f.m:
         raise ValueError("L must map the domain of f into its codomain")
-    size = 1 << f.n
-    Ltab = L.table()
-    for A in range(size):
-        for x in range(1, size):
-            if Ltab[x] ^ f.bform(x, A) == 0:
-                return False
-    return True
+    T, xs = f.as_array(), np.arange(1, 1 << f.n)
+    values = np.asarray(L.table())[xs] ^ T[xs] ^ T[0]
+    return not f.ddt()[xs, values].any()
 
 
 # -- linear modification on the trace-zero hyperplane ---------------------

@@ -19,6 +19,11 @@ PRESET_MODULI = {6: 0b1011011, 8: 0x11D}
 MAX_DEGREE = 16
 
 
+def _check_degree(n: int) -> None:
+    if not 2 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [2, {MAX_DEGREE}], got {n}")
+
+
 def _pdeg(p: int) -> int:
     return p.bit_length() - 1
 
@@ -101,8 +106,7 @@ class FieldSpec:
     modulus: int
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"degree must be in [2, {MAX_DEGREE}], got {self.n}")
+        _check_degree(self.n)
         if _pdeg(self.modulus) != self.n:
             raise ValueError(f"modulus 0x{self.modulus:x} does not have degree {self.n}")
         if not is_irreducible(self.modulus):
@@ -239,7 +243,9 @@ def field_for(n: int, modulus: int | None = None) -> FieldSpec:
     """The field of degree n: paper presets for n in {6, 8}, otherwise
     the smallest primitive modulus; its generator is the smallest one.
     Memoised on the arguments as given, and on the resolved field, so each
-    field builds its tables once per process however it is asked for."""
+    field builds its tables once per process however it is asked for.  The
+    degree is checked before any search for a modulus."""
+    _check_degree(n)
     if modulus is None:
         modulus = PRESET_MODULI.get(n) or smallest_primitive_modulus(n)
     return _field(n, modulus)

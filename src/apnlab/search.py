@@ -22,7 +22,6 @@ digit's allowed values are the hits, in index order.
 """
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -90,11 +89,10 @@ class SearchReport:
     hit_list: tuple[int, ...]
     cap: int
     seed: Optional[int]
-    workers: int
 
     def to_dict(self) -> dict:
-        """The printed report; it carries no timing, so it depends only on
-        the inputs."""
+        """The printed report; it carries no timing and no worker count, so
+        it depends only on the inputs."""
         return {**asdict(self), "hit_list": list(self.hit_list)}
 
 
@@ -232,7 +230,7 @@ def _scan_worker(args) -> tuple[int, list[int]]:
 
 
 # Below this degree a whole exhaustive scan takes at most ~0.1 s, less than
-# starting a process pool, so `workers` only splits the range in-process.
+# starting a process pool, so it is one in-process scan whatever `workers` is.
 _POOL_MIN_DEGREE = 7
 
 
@@ -245,13 +243,12 @@ def search_tr_l(spec: FieldSpec,
                 samples: int = 0,
                 seed: Optional[int] = None,
                 workers: int = 1,
-                cap: int = 64,
-                long_ok: bool = False) -> SearchReport:
+                cap: int = 64) -> SearchReport:
     """Count linear maps L with L(e_0) = 0 making x^3 + Tr(x)L(x) APN.
 
-    Exhaustive mode scans the whole 2^(n(n-1)) space (degree >= 6 needs
-    long_ok), splitting the top digit's range across `workers`, which run
-    as processes from degree 7 on; random mode draws `samples` seeded
+    Exhaustive mode scans the whole 2^(n(n-1)) space; from degree 7 on,
+    `workers` > 1 splits the top digit's range across that many processes.
+    Its report carries no seed.  Random mode draws `samples` seeded
     indices.  Hits are spot-checked against the direct APN test (all hits
     for degree <= 5, 1 in 100 above).
     """
@@ -264,22 +261,17 @@ def search_tr_l(spec: FieldSpec,
     kernel = _CubeKernel(spec)
     total = map_space_size(spec)
     if mode == "exhaustive":
-        if spec.n >= 6 and not long_ok:
-            raise ValueError(
-                f"exhaustive space 2^{spec.n * (spec.n - 1)} needs the long-run opt-in"
-            )
-        bounds = [(spec.size * w) // workers for w in range(workers + 1)]
-        ranges = list(zip(bounds, bounds[1:]))
         if workers > 1 and spec.n >= _POOL_MIN_DEGREE:
+            bounds = [(spec.size * w) // workers for w in range(workers + 1)]
             args = [((spec.n, spec.modulus), lo, hi, cap)
-                    for lo, hi in ranges]
+                    for lo, hi in zip(bounds, bounds[1:])]
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_worker, args))
         else:
-            results = [kernel.scan(lo, hi, cap) for lo, hi in ranges]
+            results = [kernel.scan(0, spec.size, cap)]
         hits = sum(c for c, _ in results)
         hit_list = [h for _, hl in results for h in hl][:cap]
-        examined = total
+        examined, seed = total, None
         space = f"trl-exhaustive-n{spec.n}"
     elif mode == "random":
         if seed is None:
@@ -296,7 +288,7 @@ def search_tr_l(spec: FieldSpec,
     _verify_hits(spec, hit_list, every=1 if spec.n <= 5 else 100)
     return SearchReport(
         space=space, examined=examined, hits=hits, hit_list=tuple(hit_list),
-        cap=cap, seed=seed, workers=workers,
+        cap=cap, seed=seed,
     )
 
 
@@ -317,11 +309,9 @@ def _verify_hits(spec: FieldSpec, hit_list: list[int], every: int) -> None:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    space: str
     examined: int
     agreements: int
     criterion_hits: int
-    seconds: float
 
     @property
     def agrees(self) -> bool:
@@ -364,15 +354,13 @@ def th31_crosscheck(spec: FieldSpec,
     kernel = _CubeKernel(spec)
     total = map_space_size(spec)
     if samples is None:
-        indices, mode = np.arange(total, dtype=np.int64), "exhaustive"
+        indices = np.arange(total, dtype=np.int64)
     else:
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         indices = SplitMix64(seed).below_many(total, samples).astype(np.int64)
-        mode = "random"
     blocks = (indices[lo:lo + _CHECK_BLOCK] for lo in range(0, indices.size, _CHECK_BLOCK))
-    return _crosscheck(spec, f"th31-vs-ddt-{mode}-n{spec.n}", blocks, True,
-                       lambda blk, _: kernel.holds(blk))
+    return _crosscheck(spec, blocks, True, lambda blk, _: kernel.holds(blk))
 
 
 def exp_sum_crosscheck(spec: FieldSpec) -> CrossCheckReport:
@@ -382,16 +370,14 @@ def exp_sum_crosscheck(spec: FieldSpec) -> CrossCheckReport:
     target = (1 << (spec.n - 1)) - 1
     blocks = (np.arange(lo, min(lo + _CHECK_BLOCK, total), dtype=np.int64)
               for lo in range(0, total, _CHECK_BLOCK))
-    return _crosscheck(spec, f"expsum-vs-ddt-exhaustive-n{spec.n}", blocks, False,
+    return _crosscheck(spec, blocks, False,
                        lambda _, ltabs: _exp_sum_lhs(spec, ltabs) == target)
 
 
-
-def _crosscheck(spec: FieldSpec, space: str, blocks, constrained: bool,
+def _crosscheck(spec: FieldSpec, blocks, constrained: bool,
                 criterion) -> CrossCheckReport:
     """criterion(indices, L tables) against the direct APN test of
     x^3 + Tr*L, one block of candidate indices at a time."""
-    t0 = time.monotonic()
     examined = agree = chits = 0
     for blk in blocks:
         ltabs = _full_l_tables(spec, blk, constrained)
@@ -399,7 +385,7 @@ def _crosscheck(spec: FieldSpec, space: str, blocks, constrained: bool,
         examined += blk.size
         agree += int((cmask == omask).sum())
         chits += int(cmask.sum())
-    return CrossCheckReport(space, examined, agree, chits, time.monotonic() - t0)
+    return CrossCheckReport(examined, agree, chits)
 
 
 # -- subspace samplers -----------------------------------------------------

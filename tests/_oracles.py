@@ -184,3 +184,30 @@ def oracle_exp_sum_lhs(L, spec) -> int:
         s2 += -1 if spec.trace_absolute(spec.mul(ly, iy3)) else 1
     assert s2 % 2 == 0
     return s1 - s2 // 2
+
+
+def oracle_concat_witness(f_table, g_table, n: int):
+    """The first (x, y, a) with f(x+a) + f(x) = g(y+a) + g(y), a != 0:
+    smallest a, then the first y, then the smallest x for that y; None
+    when the derivatives of f and g never meet at the same direction."""
+    size = 1 << n
+    for a in range(1, size):
+        fd = {}
+        for x in range(size):
+            fd.setdefault(f_table[x ^ a] ^ f_table[x], x)
+        for y in range(size):
+            v = g_table[y ^ a] ^ g_table[y]
+            if v in fd:
+                return fd[v], y, a
+    return None
+
+
+def oracle_quadratic_concat(f_table, l_table, n: int) -> bool:
+    """Whether L(x) != B_f(x, A) = f(x+A) + f(x) + f(A) + f(0) for every
+    x != 0 and every A."""
+    size = 1 << n
+    for A in range(size):
+        for x in range(1, size):
+            if l_table[x] == f_table[x ^ A] ^ f_table[x] ^ f_table[A] ^ f_table[0]:
+                return False
+    return True

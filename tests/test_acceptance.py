@@ -44,11 +44,14 @@ class _StampedLines:
 def _verify(*argv):
     """Run `apnlab verify *argv` once per process; return the exit code and
     the output lines, each with the seconds since the line before it (the
-    first since the start)."""
+    first since the start).  No line may print a wall-clock time, so the
+    output depends only on the inputs."""
     out = _StampedLines()
     start = time.monotonic()
     with contextlib.redirect_stdout(out):
         code = cli.main(["verify", *argv])
+    timed = [line for _, line in out.lines if re.search(r"\d+(\.\d+)?s\)", line)]
+    assert not timed, f"wall-clock time on stdout: {timed}"
     stamps = [start] + [t for t, _ in out.lines]
     return code, [(line, t - stamps[i]) for i, (t, line) in enumerate(out.lines)]
 

@@ -238,29 +238,26 @@ class TestSearch:
         d = json.loads(out)
         assert d["hits"] == 448 and len(d["hit_list"]) == 8
 
-    def test_csv_output(self, capsys):
-        code, out, _ = _run(capsys, "search", "--n", "4", "--cap", "3",
-                            "--out", "csv")
-        assert code == 0
-        assert out.splitlines()[0].startswith("space,examined,hits")
-
     def test_stdout_depends_only_on_inputs(self, capsys):
         _, first, _ = _run(capsys, "search", "--n", "4")
         _, second, _ = _run(capsys, "search", "--n", "4")
         assert first == second and "seconds" not in first
 
+    def test_exhaustive_report_has_no_seed(self, capsys):
+        # the seed plays no part in an exhaustive scan
+        code, out, _ = _run(capsys, "search", "--n", "4", "--seed", "3")
+        assert code == 0 and json.loads(out)["seed"] is None
+
     @pytest.mark.parametrize("mode", [
         [], ["--mode", "random", "--samples", "20000", "--seed", "5"]])
-    def test_worker_count_only_changes_workers_field(self, capsys, mode):
-        reports = []
+    def test_worker_count_leaves_stdout_unchanged(self, capsys, mode):
+        outs = []
         for workers in ("1", "2"):
             code, out, _ = _run(capsys, "search", "--n", "5", "--workers",
                                 workers, *mode)
-            assert code == 0
-            d = json.loads(out)
-            assert d.pop("workers") == int(workers)
-            reports.append(d)
-        assert reports[0] == reports[1]
+            assert code == 0 and "workers" not in json.loads(out)
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_small_search_runs_without_a_pool(self, capsys, monkeypatch):
         import apnlab.search
@@ -268,15 +265,19 @@ class TestSearch:
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started for a degree-5 scan")
 
+        scans = []
+        real_scan = apnlab.search._CubeKernel.scan
         monkeypatch.setattr(apnlab.search, "ProcessPoolExecutor", no_pool)
-        reports = []
+        monkeypatch.setattr(apnlab.search._CubeKernel, "scan",
+                            lambda self, *a: scans.append(a) or real_scan(self, *a))
+        outs = []
         for workers in ("1", "2"):
             code, out, _ = _run(capsys, "search", "--n", "5", "--workers", workers)
             assert code == 0
-            d = json.loads(out)
-            assert d.pop("workers") == int(workers)
-            reports.append(d)
-        assert reports[0] == reports[1]
+            outs.append(out)
+        assert outs[0] == outs[1]
+        # one scan of the whole range per search, whatever the worker count
+        assert scans == [(0, 32, 64)] * 2
 
     @pytest.mark.parametrize("bad", [
         ["--mode", "random", "--seed", "1", "--samples", "-5"],
@@ -292,9 +293,20 @@ class TestSearch:
                             "--samples", "10")
         assert code == 2
 
-    def test_n6_exhaustive_needs_long(self, capsys):
-        code, _, err = _run(capsys, "search", "--n", "6")
-        assert code == 2 and "long" in err
+    def test_n7_exhaustive_needs_long(self, capsys):
+        code, out, err = _run(capsys, "search", "--n", "7")
+        assert code == 2 and out == ""
+        assert err == "error: exhaustive space 2^42 needs --long\n"
+
+    def test_n6_exhaustive_runs_without_long(self, capsys):
+        code, out, _ = _run(capsys, "search", "--n", "6")
+        assert code == 0 and json.loads(out)["hits"] == 35648
+
+    @pytest.mark.parametrize("long", [[], ["--long"]])
+    def test_exhaustive_n9_rejected_by_the_index_width(self, capsys, long):
+        code, out, err = _run(capsys, "search", "--n", "9", *long)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "63" in err
 
     def test_index_wider_than_63_bits_exits_2(self, capsys):
         code, out, err = _run(capsys, "search", "--n", "9", "--mode", "random",
@@ -382,8 +394,9 @@ class TestUsage:
         assert e.value.code == 2
 
     def test_degree_out_of_range_exits_2(self, capsys):
-        code = main(["search", "--n", "40"])
-        assert code == 2
+        code, out, err = _run(capsys, "search", "--n", "40")
+        assert code == 2 and out == ""
+        assert err == "error: degree must be in [2, 16], got 40\n"
 
     def test_reducible_modulus_exits_2(self, capsys):
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2 is not irreducible

@@ -34,9 +34,11 @@ from apnlab.vbf import VBF, LinearMap, inverse_function, power_function
 
 from _oracles import (
     oracle_admissible_sums,
+    oracle_concat_witness,
     oracle_coset_minima,
     oracle_exp_sum_lhs,
     oracle_is_apn,
+    oracle_quadratic_concat,
     split_pair,
 )
 
@@ -196,6 +198,65 @@ class TestConcatenation:
         f = VBF(3, 3, tuple(range(8)))  # linear, never APN
         ok, witness = concat_is_apn(f, f)
         assert not ok and witness is None
+
+    @staticmethod
+    def _halves(n, rng):
+        """An EA copy F of x^3 on F_2^(n+1) and its two halves (f, g):
+        F(x) = f(x) and F(x + e_0) = g(x), so concatenate(f, g) = F is APN."""
+        spec = field_for(n + 1)
+        F = ea_transform(power_function(spec, 3), *random_ea_triple(n + 1, n + 1, rng))
+        half = 1 << n
+        return F, VBF(n, n + 1, F.table[:half]), VBF(n, n + 1, F.table[half:])
+
+    def _seeded_pairs(self, rng, count):
+        """(f, g) pairs at n = 3, 4, 5: the halves of an APN function, EA
+        copies of x^3 against EA copies of x^3 or x^5, and perturbed
+        (4, 5) inverse extensions."""
+        base = inverse_extension(field_for(4)).table
+        for k in range(count):
+            n = rng.choice((3, 4, 5))
+            spec = field_for(n)
+            if k % 3 == 0:
+                yield self._halves(n, rng)[1:]
+            elif k % 3 == 1:
+                f = ea_transform(power_function(spec, 3), *random_ea_triple(n, n, rng))
+                e = 5 if n % 2 else 3
+                yield f, ea_transform(power_function(spec, e), *random_ea_triple(n, n, rng))
+            else:
+                t1, t2 = list(base), list(base)
+                for t in (t1, t2):
+                    for _ in range(rng.randrange(3)):
+                        t[rng.randrange(16)] ^= 1 << rng.randrange(5)
+                yield VBF(4, 5, tuple(t1)), VBF(4, 5, tuple(t2))
+
+    def test_verdict_and_witness_match_oracle_loop(self):
+        # the witness is the oracle loop's: smallest a, first y, smallest x
+        verdicts = []
+        for f, g in self._seeded_pairs(random.Random(315), 150):
+            both_apn = (oracle_is_apn(f.table, f.n, f.m)
+                        and oracle_is_apn(g.table, g.n, g.m))
+            w = oracle_concat_witness(f.table, g.table, f.n) if both_apn else None
+            assert concat_is_apn(f, g) == (both_apn and w is None, w)
+            verdicts.append((both_apn, w is None))
+        # every branch is exercised: a non-APN half, a witness, a hold
+        assert {(False, True), (True, False), (True, True)} <= set(verdicts)
+
+    def test_quadratic_criterion_matches_oracle_loop(self):
+        # g = f + L + c for the halves of an APN F, where L(x) = B_F(x, e_0)
+        # makes the criterion hold, and for a random L, where it mostly fails
+        rng = random.Random(316)
+        verdicts = []
+        for k in range(60):
+            n = rng.choice((3, 4, 5))
+            F, f, _ = self._halves(n, rng)
+            e0 = 1 << n
+            images = [F.bform(1 << i, e0) if k % 2 else rng.randrange(1 << (n + 1))
+                      for i in range(n)]
+            L = LinearMap(n, n + 1, tuple(images))
+            holds = quadratic_concat_criterion(f, L, rng.randrange(1 << (n + 1)))
+            assert holds == oracle_quadratic_concat(f.table, L.table(), n)
+            verdicts.append(holds)
+        assert set(verdicts) == {False, True}
 
     def test_quadratic_criterion_agrees_with_direct(self):
         spec = field_for(4)

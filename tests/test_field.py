@@ -153,6 +153,17 @@ class TestModuli:
         assert smallest_primitive_modulus(3) == 0b1011
         assert smallest_primitive_modulus(4) == 0b10011
 
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_degree_checked_before_any_modulus_search(self, n, monkeypatch):
+        from apnlab import field
+
+        def no_search(n):
+            raise AssertionError(f"searched for a modulus of degree {n}")
+
+        monkeypatch.setattr(field, "smallest_primitive_modulus", no_search)
+        with pytest.raises(ValueError, match=rf"^degree must be in \[2, 16\], got {n}$"):
+            field_for(n)
+
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):
             FieldSpec(4, 0b10101)  # (x^2+x+1)^2

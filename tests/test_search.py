@@ -121,10 +121,6 @@ class TestTrLSearch:
         with pytest.raises(ValueError):
             search_tr_l(field_for(4), mode="random", samples=10)
 
-    def test_big_exhaustive_needs_opt_in(self):
-        with pytest.raises(ValueError):
-            search_tr_l(field_for(6))
-
     def test_every_hit_is_apn(self):
         spec = field_for(4)
         rep = search_tr_l(spec, cap=448)
@@ -156,11 +152,11 @@ class TestTrLSearch:
 
     def test_degree6_exhaustive_count_default_suite(self):
         spec = field_for(6)
-        rep = search_tr_l(spec, long_ok=True)
+        rep = search_tr_l(spec)
         assert rep.hits == 35648 and rep.examined == 1 << 30
         # the first hits, against the direct APN test of every candidate
         # up to the last of them
-        rep = search_tr_l(spec, long_ok=True, cap=16)
+        rep = search_tr_l(spec, cap=16)
         idx = np.arange(rep.hit_list[-1] + 1, dtype=np.int64)
         apn = np.concatenate([
             _batch_modify_apn(spec, _full_l_tables(spec, idx[lo:lo + 4096], True))
@@ -170,8 +166,7 @@ class TestTrLSearch:
     def test_index_wider_than_63_bits_rejected(self):
         for mode in ("exhaustive", "random"):
             with pytest.raises(ValueError, match="63"):
-                search_tr_l(field_for(9), mode=mode, samples=10, seed=1,
-                            long_ok=True)
+                search_tr_l(field_for(9), mode=mode, samples=10, seed=1)
 
     def test_base_function_checked_once_per_search(self, monkeypatch):
         from apnlab.vbf import VBF
@@ -194,24 +189,18 @@ class TestTrLSearch:
 
 
 @pytest.mark.long
-def test_degree6_exhaustive_count():
-    """Full 2^30 scan at n=6 split into 4 worker ranges, scanned in-process
-    below n = 7 (about 0.1 s, as the default-suite count above shows).
-
-    The count is this artifact's own derived ground truth; 1% of hits are
-    re-verified against the direct APN test inside the search.
-    """
-    rep = search_tr_l(field_for(6), workers=4, long_ok=True)
-    assert rep.hits == 35648
-    assert rep.examined == 1 << 30
-
-
-@pytest.mark.long
-def test_degree7_exhaustive_count_on_two_processes():
+def test_degree7_exhaustive_count_on_two_processes(monkeypatch):
     """From degree 7 on, `workers` > 1 scans in a process pool; the merged
     report is the x^3 count at n = 7, hits in index order."""
-    rep = search_tr_l(field_for(7), workers=2, cap=500, long_ok=True)
-    assert rep.hits == 128 and rep.workers == 2
+    import apnlab.search as search
+
+    pools = []
+    real_pool = search.ProcessPoolExecutor
+    monkeypatch.setattr(search, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or real_pool(**kw))
+    rep = search_tr_l(field_for(7), workers=2, cap=500)
+    assert pools == [{"max_workers": 2}]
+    assert rep.hits == 128
     assert list(rep.hit_list) == sorted(rep.hit_list) and len(rep.hit_list) == 128
 
 
